@@ -79,7 +79,6 @@ int main(int argc, char** argv) {
   serve::ServerOptions opt;
   opt.socket_path = (root / "serve.sock").string();
   opt.plan_cache_dir = (root / "plans").string();
-  opt.journal_dir = (root / "journal").string();
   opt.queue_capacity = 256;
   opt.max_inflight = 64;
   opt.tune_on_register = true;

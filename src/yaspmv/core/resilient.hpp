@@ -65,8 +65,8 @@ struct ResilientOptions {
   /// When non-empty, every failed attempt's journal is written to
   /// `<prefix>.<pid>.<seq>` where `seq` is a process-wide counter: dump
   /// names are unique per attempt even when several engines share a prefix
-  /// and fail concurrently (the serving daemon does exactly that).  The
-  /// actual path of each dump is reported in FaultRecord::journal_file.
+  /// and fail concurrently.  The actual path of each dump is reported in
+  /// FaultRecord::journal_file.
   std::string journal_prefix;
 };
 
@@ -145,9 +145,9 @@ class ResilientEngine {
     return run(x, y, opt_.verify_checksum);
   }
 
-  /// Per-call checksum-verification override: the serving daemon flips this
-  /// per request (protocol `verified` flag) on a shared engine whose
-  /// ResilientOptions are fixed at registration time.
+  /// Per-call checksum-verification override, for callers that mix verified
+  /// and plain applies on one engine whose ResilientOptions are fixed at
+  /// construction.
   ResilientRun run(std::span<const real_t> x, std::span<real_t> y,
                    bool verify_checksum) {
     require(x.size() == static_cast<std::size_t>(a_.cols) &&
@@ -338,9 +338,9 @@ class ResilientEngine {
     failure_count_++;
     if (!opt_.journal_prefix.empty()) {
       // pid + process-wide sequence => unique per attempt, across engines
-      // and across daemon restarts sharing a journal directory.  A plain
-      // per-engine counter collides as soon as two concurrent requests to
-      // the same prefix both fail their first attempt.
+      // and across processes sharing a journal directory.  A plain
+      // per-engine counter collides as soon as two concurrent runs on the
+      // same prefix both fail their first attempt.
       static std::atomic<std::uint64_t> dump_seq{0};
       const std::string path =
           opt_.journal_prefix + "." + std::to_string(::getpid()) + "." +

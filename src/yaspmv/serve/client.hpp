@@ -55,7 +55,7 @@ struct RegisterResult {
 struct SpmvResult {
   ReplyStatus status;
   std::vector<real_t> y;
-  std::uint32_t attempts = 0;     ///< ladder attempts inside the engine
+  std::uint32_t attempts = 0;     ///< kernel applies the ladder ran
   std::uint32_t ladder_step = 0;
   bool recovered = false;
   bool verified = false;
@@ -63,7 +63,7 @@ struct SpmvResult {
   struct Fault {
     Status status = Status::kOk;
     std::string path;
-    std::string journal_file;
+    std::string journal_file;  ///< always "" from the native ladder
   };
   std::vector<Fault> faults;
   int admission_attempts = 1;     ///< client-side tries incl. overload retries
@@ -122,7 +122,7 @@ class Client {
   /// file's payload checksum; kernel comes back "stream/tile".
   RegisterResult register_path(const std::string& file_path);
 
-  /// y = A x through the server's resilient ladder.
+  /// y = A x through the server's native kernel ladder.
   SpmvResult spmv(std::uint64_t matrix_id, std::span<const real_t> x,
                   const RequestOptions& opt = {});
 

@@ -91,16 +91,18 @@ inline const char* to_string(ServeStatus s) {
 }
 
 /// Test-only fault hooks a request may carry (honored only when the server
-/// runs with `enable_inject`; rejected as kBadRequest otherwise).
+/// runs with `enable_inject`; rejected as kBadRequest otherwise).  The
+/// simulator faults (2-4) keep their wire values but are always rejected as
+/// kBadRequest: the server runs the native kernels, which have no such site.
 enum class Inject : std::uint8_t {
   kNone = 0,
   kNan = 1,           ///< poison x[0] with NaN -> NaN-policy typed error
-  kDropPublish = 2,   ///< sim fault: degrades down the ladder, recovers
-  kCorruptCache = 3,  ///< sim fault: strategy fallback
-  kFailMain = 4,      ///< sim fault: every simulated rung fails -> CPU rung
+  kDropPublish = 2,   ///< simulator fault: rejected
+  kCorruptCache = 3,  ///< simulator fault: rejected
+  kFailMain = 4,      ///< simulator fault: rejected
   kSleepMs = 5,       ///< hold the executor for `arg` ms (queue-buildup hook)
-  kCorruptPublish = 6,  ///< sim fault: silently perturbed partial sums — only
-                        ///< a verified request (or a verify-enabled server)
+  kCorruptPublish = 6,  ///< silent bit flip in a kernel carry on every
+                        ///< kernel-rung attempt — only a verified request
                         ///< can tell the reply went wrong
 };
 

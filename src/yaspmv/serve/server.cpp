@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <future>
 #include <limits>
 
@@ -14,9 +13,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "yaspmv/cpu/ladder.hpp"
 #include "yaspmv/cpu/stream_spmv.hpp"
 #include "yaspmv/io/stream.hpp"
 #include "yaspmv/sim/fault.hpp"
+#include "yaspmv/solvers/solvers.hpp"
 #include "yaspmv/tune/tuner.hpp"
 #include "yaspmv/util/stopwatch.hpp"
 #include "yaspmv/util/thread_pool.hpp"
@@ -65,7 +66,7 @@ struct Server::Pending {
 
 struct Server::MatrixEntry {
   std::uint64_t id = 0;
-  fmt::Coo a;
+  std::int32_t rows = 0, cols = 0;
   tune::Candidate plan;
   bool plan_from_cache = false;
   double tuning_seconds = 0;   ///< cold: measured; warm: stored in the plan
@@ -76,21 +77,19 @@ struct Server::MatrixEntry {
   bool ready = false;
   std::string error;  ///< non-empty: registration failed, entry is a tombstone
 
-  // Execution state.  The engine is single-threaded by design; `busy` (under
-  // disp_mu_) guarantees at most one executor touches it at a time.
-  std::unique_ptr<core::ResilientEngine> engine;
-  std::unique_ptr<solver::CpuOperator> op;  ///< built on first solve
+  // Execution state.  The ladder and operator are single-threaded by
+  // design; `busy` (under disp_mu_) guarantees at most one executor touches
+  // them at a time.  The ladder owns the registered matrix and the one
+  // format spmv and solve share; `op` is built on the first solve and
+  // rebuilt whenever an integrity rebuild replaced that format.
+  std::unique_ptr<cpu::SpmvLadder> ladder;
+  std::unique_ptr<solver::CpuOperator> op;
 
   // Out-of-core entries (registered by path): the matrix stays in the
-  // mapped file, `a` is empty, and applies stream tile by tile.  srows/
-  // scols mirror the geometry `a` would carry.
+  // mapped file, there is no ladder, and applies stream tile by tile.
   bool streamed = false;
   std::shared_ptr<const io::MappedBccoo> mapped;
   std::unique_ptr<cpu::CpuStreamSpmv> stream;
-  std::int32_t srows = 0, scols = 0;
-
-  std::int32_t rows() const { return streamed ? srows : a.rows; }
-  std::int32_t cols() const { return streamed ? scols : a.cols; }
 
   // Queue state, guarded by Server::disp_mu_.
   std::deque<std::unique_ptr<Pending>> queue;
@@ -169,10 +168,6 @@ void Server::start() {
     throw IoError(std::string("serve: listen: ") + std::strerror(e));
   }
 
-  if (!opt_.journal_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(opt_.journal_dir, ec);
-  }
   plan_cache_.sweep_stale_temps();
 
   draining_.store(false);
@@ -472,7 +467,8 @@ std::vector<std::uint8_t> Server::handle_register(WireReader& r) {
     if (it == matrices_.end()) {
       entry = std::make_shared<MatrixEntry>();
       entry->id = id;
-      entry->a = std::move(a);
+      entry->rows = a.rows;
+      entry->cols = a.cols;
       matrices_.emplace(id, entry);
       creator = true;
     } else {
@@ -500,13 +496,13 @@ std::vector<std::uint8_t> Server::handle_register(WireReader& r) {
           entry->evaluated = cached->evaluated;
         } else {
           tune::TuneOptions topt;
-          topt.verify = false;  // the resilient ladder re-verifies at run time
+          topt.verify = false;  // verified requests check every apply
           topt.tune_workers = opt_.tune_workers;
           // Rank candidates at the thread count applies will actually run
           // with, so launch/fix-up overhead weighs in at deploy shape.
           topt.rank_threads = opt_.apply_threads;
           Stopwatch tune_sw;
-          const auto tr = tune::tune(entry->a, dev_, topt);
+          const auto tr = tune::tune(a, dev_, topt);
           entry->plan = tr.best;
           entry->tuning_seconds = tune_sw.elapsed_seconds();
           entry->evaluated = tr.evaluated;
@@ -519,28 +515,22 @@ std::vector<std::uint8_t> Server::handle_register(WireReader& r) {
           plan_cache_.store(rec);  // best effort; false = re-tune next boot
         }
       }
-      core::ExecConfig ec = entry->plan.exec;
-      // Request-level parallelism comes from concurrent clients by default
+      // The ladder takes the matrix: from here on it is the entry's only
+      // copy.  The plan's exec flags pick the column stream, so rung 0
+      // dispatches to the kernel the tuner recorded.  Request-level
+      // parallelism comes from concurrent clients by default
       // (apply_threads == 1: a single apply stays on its executor thread).
       // With --apply-threads=N each apply runs the carry-chain-free
       // N-thread path; an executor that cannot get the pool degrades
       // inline, so oversubscription cannot deadlock.
-      ec.workers = opt_.apply_threads;
-      core::ResilientOptions ropt;
-      ropt.verify = opt_.verify;
-      ropt.sample_rows = opt_.verify_sample_rows;
-      ropt.verify_checksum = opt_.verified;
-      if (!opt_.journal_dir.empty()) {
-        ropt.journal_prefix =
-            opt_.journal_dir + "/m" + hex_id(id) + ".journal";
-      }
-      entry->engine = std::make_unique<core::ResilientEngine>(
-          entry->a, entry->plan.format, ec, dev_, ropt);
-      // Pre-warm: build the fast-path format and plan now so the first
-      // client request pays serve latency, not build latency.
-      std::vector<real_t> x0(static_cast<std::size_t>(entry->a.cols), 0.0);
-      std::vector<real_t> y0(static_cast<std::size_t>(entry->a.rows), 0.0);
-      entry->engine->run(x0, y0);
+      entry->ladder = std::make_unique<cpu::SpmvLadder>(
+          std::move(a), entry->plan.format,
+          tune::native_stream(entry->plan.exec), opt_.apply_threads);
+      // Pre-warm: one apply first-touches the kernel's scratch so the first
+      // client request pays serve latency, not page faults.
+      std::vector<real_t> x0(static_cast<std::size_t>(entry->cols), 0.0);
+      std::vector<real_t> y0(static_cast<std::size_t>(entry->rows), 0.0);
+      entry->ladder->run(x0, y0, /*verified=*/false);
     } catch (const std::exception& e) {
       failure = e.what();
     }
@@ -583,8 +573,8 @@ std::vector<std::uint8_t> Server::handle_register(WireReader& r) {
   w.put<std::uint8_t>(creator ? 1 : 0);
   w.put<double>(entry->tuning_seconds);
   w.put<double>(entry->register_seconds);
-  w.put<std::int32_t>(entry->a.rows);
-  w.put<std::int32_t>(entry->a.cols);
+  w.put<std::int32_t>(entry->rows);
+  w.put<std::int32_t>(entry->cols);
   w.put<std::int32_t>(entry->evaluated);
   // Appended last (wire evolution rule): the kernel id the plan dispatches
   // to; older clients reading a prefix of the frame stay compatible.
@@ -626,8 +616,8 @@ std::vector<std::uint8_t> Server::handle_register_path(WireReader& r) {
       entry->id = id;
       entry->streamed = true;
       entry->mapped = std::move(mapped);
-      entry->srows = entry->mapped->rows();
-      entry->scols = entry->mapped->cols();
+      entry->rows = entry->mapped->rows();
+      entry->cols = entry->mapped->cols();
       matrices_.emplace(id, entry);
       creator = true;
     } else {
@@ -677,8 +667,8 @@ std::vector<std::uint8_t> Server::handle_register_path(WireReader& r) {
   w.put<std::uint8_t>(creator ? 1 : 0);
   w.put<double>(0.0);  // tuning_seconds
   w.put<double>(entry->register_seconds);
-  w.put<std::int32_t>(entry->srows);
-  w.put<std::int32_t>(entry->scols);
+  w.put<std::int32_t>(entry->rows);
+  w.put<std::int32_t>(entry->cols);
   w.put<std::int32_t>(0);  // evaluated
   w.put_string(entry->plan.kernel);
   return w.take();
@@ -724,6 +714,14 @@ std::vector<std::uint8_t> Server::handle_request(MsgType type, WireReader& r) {
                        "inject hooks are disabled (start the server with "
                        "enable_inject / --inject to use them)");
   }
+  // The simulator's faults have no site in the native kernels serve runs;
+  // they stay with yaspmv_cli --inject and schedule replay.
+  if (p->inject == Inject::kDropPublish || p->inject == Inject::kCorruptCache ||
+      p->inject == Inject::kFailMain) {
+    return error_reply(ServeStatus::kBadRequest, Status::kOk,
+                       "inject: drop_publish, corrupt_cache and fail_main are "
+                       "simulator faults; serve runs the native kernels");
+  }
   auto m = find_matrix(id);
   if (!m) {
     return error_reply(ServeStatus::kUnknownMatrix, Status::kOk,
@@ -731,14 +729,14 @@ std::vector<std::uint8_t> Server::handle_request(MsgType type, WireReader& r) {
   }
   // Fail fast on shape mismatches — before the request occupies queue space.
   const auto need = static_cast<std::size_t>(
-      type == MsgType::kSpmv ? m->cols() : m->rows());
+      type == MsgType::kSpmv ? m->cols : m->rows);
   if (p->x.size() != need) {
     return error_reply(ServeStatus::kBadRequest, Status::kOk,
                        "vector length " + std::to_string(p->x.size()) +
                            " != expected " + std::to_string(need));
   }
   if (type == MsgType::kSolve &&
-      (m->streamed || m->a.rows != m->a.cols ||
+      (m->streamed || m->rows != m->cols ||
        (p->solver != 1 && p->solver != 2))) {
     return error_reply(ServeStatus::kBadRequest, Status::kOk,
                        m->streamed
@@ -747,8 +745,8 @@ std::vector<std::uint8_t> Server::handle_request(MsgType type, WireReader& r) {
                            : "solve: matrix must be square and solver must "
                              "be cg(1) or bicgstab(2)");
   }
-  // Streamed applies bypass the ResilientEngine ladder, so only the injects
-  // that make sense without it (input poison, latency) are honored.
+  // Streamed applies bypass the kernel ladder and its flip site, so only the
+  // injects that make sense without it (input poison, latency) are honored.
   if (m->streamed && p->inject != Inject::kNone &&
       p->inject != Inject::kNan && p->inject != Inject::kSleepMs) {
     return error_reply(ServeStatus::kBadRequest, Status::kOk,
@@ -870,7 +868,7 @@ void Server::process(MatrixEntry& m, Pending& p) {
 std::vector<std::uint8_t> Server::run_spmv(MatrixEntry& m, Pending& p) {
   if (m.streamed) {
     // Out-of-core path: the apply streams tile-by-tile off the mapped file.
-    // Admission already restricted injects to the engine-free ones.
+    // Admission already restricted injects to input poison and latency.
     if (p.inject == Inject::kNan && !p.x.empty()) {
       p.x[0] = std::numeric_limits<real_t>::quiet_NaN();
     } else if (p.inject == Inject::kSleepMs) {
@@ -883,7 +881,7 @@ std::vector<std::uint8_t> Server::run_spmv(MatrixEntry& m, Pending& p) {
                              std::to_string(i) + "] is not finite");
       }
     }
-    std::vector<real_t> y(static_cast<std::size_t>(m.srows));
+    std::vector<real_t> y(static_cast<std::size_t>(m.rows));
     // An IoError/DataCorruption raised mid-stream (file truncated or
     // replaced underneath us) propagates to process()'s SpmvError catch:
     // this client gets kFaulted with the typed code, the daemon keeps going.
@@ -905,7 +903,6 @@ std::vector<std::uint8_t> Server::run_spmv(MatrixEntry& m, Pending& p) {
   }
 
   sim::FaultInjector inj;
-  bool armed = false;
   switch (p.inject) {
     case Inject::kNone:
       break;
@@ -914,40 +911,30 @@ std::vector<std::uint8_t> Server::run_spmv(MatrixEntry& m, Pending& p) {
       // into a typed error for THIS client only.
       if (!p.x.empty()) p.x[0] = std::numeric_limits<real_t>::quiet_NaN();
       break;
-    case Inject::kDropPublish:
-      inj.arm({sim::FaultType::kDropPublish, /*target_wg=*/1});
-      inj.spin_budget_override = 10000;
-      armed = true;
-      break;
-    case Inject::kCorruptCache:
-      inj.arm({sim::FaultType::kCorruptCache, /*target_wg=*/1});
-      armed = true;
-      break;
-    case Inject::kFailMain: {
-      sim::FaultPlan plan;
-      plan.type = sim::FaultType::kFailLaunch;
-      plan.launch = sim::LaunchKind::kMain;
-      inj.arm(plan);
-      armed = true;
-      break;
-    }
     case Inject::kSleepMs:
       std::this_thread::sleep_for(std::chrono::milliseconds(
           std::min<std::uint32_t>(p.inject_arg, 10'000)));
       break;
-    case Inject::kCorruptPublish:
-      // The silent one: partial sums perturbed right before they are
-      // consumed.  No classified error is raised anywhere — only a
-      // checksum-verified run can tell the reply went wrong.
-      inj.arm({sim::FaultType::kCorruptPublish, /*target_wg=*/1});
-      armed = true;
+    case Inject::kCorruptPublish: {
+      // The silent one: every kernel-rung attempt flips a bit of chunk 0's
+      // carry between the chunk pass and the fix-up.  No error is raised
+      // anywhere — only a verified request can tell the reply went wrong.
+      // Chunk 0's carry always reaches y (the last chunk holds the last
+      // row stop), and bit 62 moves any double by at least 2 or to inf/NaN,
+      // so the flip always changes the reply.
+      sim::FaultPlan plan;
+      plan.type = sim::FaultType::kFlipPartial;
+      plan.target_index = 0;
+      plan.bit = 62;
+      inj.arm(plan);
       break;
+    }
     default:
       throw std::invalid_argument("unknown inject kind");
   }
 
   // NaN policy: a request carrying non-finite inputs is rejected with a
-  // typed error before it can poison the engine's verification state.
+  // typed error before it reaches a kernel.
   for (std::size_t i = 0; i < p.x.size(); ++i) {
     if (!std::isfinite(p.x[i])) {
       throw DataCorruption("request NaN policy violation: x[" +
@@ -955,14 +942,14 @@ std::vector<std::uint8_t> Server::run_spmv(MatrixEntry& m, Pending& p) {
     }
   }
 
-  std::vector<real_t> y(static_cast<std::size_t>(m.a.rows));
+  std::vector<real_t> y(static_cast<std::size_t>(m.rows));
   struct InjectorGuard {
-    core::ResilientEngine* eng;
-    ~InjectorGuard() { eng->set_fault_injector(nullptr); }
-  } guard{m.engine.get()};
-  m.engine->set_fault_injector(armed ? &inj : nullptr);
+    cpu::SpmvLadder* ladder;
+    ~InjectorGuard() { ladder->set_fault_injector(nullptr); }
+  } guard{m.ladder.get()};
+  m.ladder->set_fault_injector(inj.armed() ? &inj : nullptr);
   const bool verified = p.verified || opt_.verified;
-  const core::ResilientRun r = m.engine->run(p.x, y, verified);
+  const cpu::LadderRun r = m.ladder->run(p.x, y, verified);
   std::uint64_t integrity = 0;
   for (const auto& fr : r.faults) {
     if (fr.status == Status::kIntegrityFault) ++integrity;
@@ -972,15 +959,15 @@ std::vector<std::uint8_t> Server::run_spmv(MatrixEntry& m, Pending& p) {
     if (r.recovered) stats_.recovered++;
     if (verified) stats_.verified_requests++;
     stats_.integrity_faults += integrity;
-    // run() returned, so the reply is the ladder's verified (or reference)
-    // result: every detected integrity fault on the way was recovered from.
+    // run() returned, so the reply is a verified rung's result or the CSR
+    // reference: every detected integrity fault on the way was recovered.
     if (integrity > 0) stats_.integrity_recovered++;
   }
 
   WireWriter w;
   put_reply_status(w, {ServeStatus::kOk, Status::kOk, ""});
   w.put<std::uint32_t>(static_cast<std::uint32_t>(r.attempts));
-  w.put<std::uint32_t>(static_cast<std::uint32_t>(r.ladder_step));
+  w.put<std::uint32_t>(static_cast<std::uint32_t>(r.rung));
   w.put<std::uint8_t>(r.recovered ? 1 : 0);
   w.put<std::uint8_t>(r.verified ? 1 : 0);
   w.put_string(r.path);
@@ -988,7 +975,7 @@ std::vector<std::uint8_t> Server::run_spmv(MatrixEntry& m, Pending& p) {
   for (const auto& fr : r.faults) {
     w.put<std::uint16_t>(static_cast<std::uint16_t>(fr.status));
     w.put_string(fr.path);
-    w.put_string(fr.journal_file);
+    w.put_string("");  // journal file: native attempts record none
   }
   w.put_vec(y);
   return w.take();
@@ -1001,17 +988,17 @@ std::vector<std::uint8_t> Server::run_solve(MatrixEntry& m, Pending& p) {
                            std::to_string(i) + "] is not finite");
     }
   }
-  if (!m.op) {
-    // Native fused pipeline; apply_threads per apply (see ec.workers note
-    // in handle_register).  Built once, reused by later solves.
-    m.op = std::make_unique<solver::CpuOperator>(m.a, core::FormatConfig{},
+  if (!m.op || &m.op->format() != m.ladder->format().get()) {
+    // Native fused pipeline over the ladder's format (one copy per matrix,
+    // rebuilt copy included); apply_threads per apply, as for spmv.
+    m.op = std::make_unique<solver::CpuOperator>(m.ladder->format(),
                                                  opt_.apply_threads);
   }
   solver::SolveOptions sopt;
   sopt.tolerance = p.tol;
   sopt.max_iterations = static_cast<int>(p.max_iters);
   sopt.threads = opt_.apply_threads;
-  std::vector<real_t> x(static_cast<std::size_t>(m.a.rows), 0.0);
+  std::vector<real_t> x(static_cast<std::size_t>(m.rows), 0.0);
   const bool verified = p.verified || opt_.verified;
   solver::SolveReport rep;
   std::uint32_t integrity_faults = 0, rollbacks = 0;

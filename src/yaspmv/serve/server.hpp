@@ -10,12 +10,12 @@
 //     queued drops it at dequeue with kDeadlineExpired; an apply that has
 //     started always runs to completion (cooperative cancellation: never
 //     mid-apply);
-//   * fault isolation — every spmv routes through core::ResilientEngine, so
-//     a poisoned request (NaN policy violation, injected fault, validate()
-//     failure) degrades down the ladder or returns a typed error to *its*
-//     client; the process and every other request keep going, and each
-//     failed attempt dumps a flight-recorder journal when journal_dir is
-//     set;
+//   * fault isolation — every in-memory spmv runs on the native kernels
+//     through cpu::SpmvLadder (the plan's kernel, the pinned generic
+//     kernel, then parallel CSR), so a poisoned request (NaN policy
+//     violation, a checksum-detected bit flip) degrades down the ladder or
+//     returns a typed error to *its* client; the process and every other
+//     request keep going;
 //   * durable plans — registration consults the crash-safe PlanCache before
 //     tuning, so a restarted daemon skips straight to serving;
 //   * graceful drain — stop() (SIGTERM in the daemon binary) stops
@@ -25,7 +25,7 @@
 // Threading model: one accept thread, one thread per connection (the
 // protocol is synchronous per connection: one outstanding request), and a
 // small executor pool draining per-matrix queues.  A matrix's requests are
-// serialized (its engine is single-threaded state); different matrices run
+// serialized (its ladder is single-threaded state); different matrices run
 // in parallel across executors.
 #pragma once
 
@@ -41,27 +41,22 @@
 #include <thread>
 #include <vector>
 
-#include "yaspmv/core/resilient.hpp"
 #include "yaspmv/formats/coo.hpp"
 #include "yaspmv/serve/plan_cache.hpp"
 #include "yaspmv/serve/protocol.hpp"
 #include "yaspmv/sim/device.hpp"
-#include "yaspmv/solvers/solvers.hpp"
 
 namespace yaspmv::serve {
 
 struct ServerOptions {
   std::string socket_path;       ///< required: Unix-domain socket to bind
   std::string plan_cache_dir;    ///< "" = PlanCache::default_dir()
-  std::string journal_dir;       ///< "" = no journal dumps on failed attempts
   std::string device = "gtx680"; ///< tuning target: gtx680 | gtx480
   unsigned executors = 0;        ///< 0 = min(4, shared WorkPool workers)
   std::size_t queue_capacity = 64;  ///< bounded per-matrix queue
   std::size_t max_inflight = 0;  ///< global queued+running cap;
                                  ///< 0 = 4 * WorkPool::shared().workers()
   int drain_timeout_ms = 5000;   ///< watchdog on the graceful drain
-  bool verify = false;           ///< sampled-row residual check per apply
-  int verify_sample_rows = 16;
   /// Checksum-verify EVERY request (ABFT column checksums + self-checking
   /// solvers), as if each carried the protocol `verified` flag.  Individual
   /// requests can still opt in when this is off; they cannot opt out when

@@ -17,10 +17,14 @@
 // publish claims its journal sequence number *before* releasing the ready
 // flag, so every recorded log orders a publish ahead of the waits it
 // satisfied) and the blocking wait becomes a watchdog: instead of blindly
-// burning the full spin budget it consults the recorder's ProgressTable and
-// fails fast — with attribution — the moment the owning workgroup is done or
-// failed without publishing.  Under replay the same sites turn into gates
-// consuming the recorded schedule.
+// burning a spin budget it consults the recorder's ProgressTable and fails
+// fast — with attribution — the moment the owning workgroup is done without
+// publishing.  Only that waiter, directly behind the owner that will never
+// publish, raises SyncTimeout: a waiter whose owner is alive (running,
+// itself waiting, or claimed but not yet begun) keeps waiting however long
+// the chain's head takes to see its dead owner, and unwinds once the launch
+// aborts.  Under replay the same sites turn into gates consuming the
+// recorded schedule.
 #pragma once
 
 #include <array>
@@ -49,6 +53,9 @@ class AdjacentBuffer {
   /// Hard spin cap before a blocking wait is declared dead.  With a recorder
   /// attached the watchdog almost never reaches it (a dead predecessor is
   /// detected from its progress state); without one it is the only limit.
+  /// FaultInjector::spin_budget_override lowers it only where the budget is
+  /// what detects a dead predecessor: no recorder, or a replay run past its
+  /// recorded schedule (owners minimized away never run).
   static constexpr std::size_t kMaxSpins = 200'000'000;
 
   /// Spins between watchdog looks at the owner's progress state.
@@ -141,9 +148,11 @@ class AdjacentBuffer {
   /// In non-blocking (sequential-dispatch) mode the predecessor has already
   /// run, so an unpublished entry means its publish was lost (broken chain /
   /// dead workgroup).  In blocking mode the watchdog reaches the same
-  /// conclusion when the owner is done/failed yet never published, or after
-  /// the hard spin budget.  Both raise SyncTimeout — the trigger for the
-  /// resilient engine's fallback ladder.
+  /// conclusion when the owner is done yet never published, or after the
+  /// spin budget.  Both raise SyncTimeout — the trigger for the resilient
+  /// engine's fallback ladder.  A waiter whose launch aborted elsewhere
+  /// unwinds with LaunchFailure instead (never the launch's reported error:
+  /// the abort flag goes up only after that error is stored).
   void wait(std::size_t wg, std::span<double> out, KernelStats& stats,
             std::int32_t waiter = -1) const {
     if (waiter < 0) waiter = static_cast<std::int32_t>(wg) + 1;
@@ -169,21 +178,28 @@ class AdjacentBuffer {
                      "consumed before being published under in-order "
                      "dispatch");
       }
+      const std::size_t budget = recorder_ && !coord ? kMaxSpins : spin_budget_;
       std::size_t spins = 0;
       while (!e.ready.load(std::memory_order_acquire)) {
         if (++spins % 64 == 0) std::this_thread::yield();
         if (recorder_ && spins % kWatchdogInterval == 0) {
-          const std::int32_t st =
-              recorder_->progress().state(wg);
-          if (st == ProgressTable::kDone || st == ProgressTable::kFailed) {
+          const ProgressTable& progress = recorder_->progress();
+          if (progress.state(wg) == ProgressTable::kDone) {
             // Re-check after the state read: the owner may have published
             // right before finishing (acquire pairs with the release store).
             if (e.ready.load(std::memory_order_acquire)) break;
             stats.spin_waits += spins;
             fail_timeout(wg, waiter, "owner will never publish");
           }
+          if (progress.aborted()) {
+            stats.spin_waits += spins;
+            throw LaunchFailure("workgroup " + std::to_string(waiter) +
+                                " stopped waiting on Grp_sum[" +
+                                std::to_string(wg) +
+                                "]: the launch already failed");
+          }
         }
-        if (spins > spin_budget_) {
+        if (spins > budget) {
           stats.spin_waits += spins;
           fail_timeout(wg, waiter, "spin budget exceeded");
         }

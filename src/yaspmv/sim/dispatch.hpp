@@ -276,8 +276,10 @@ KernelStats launch(const DeviceSpec& dev, const LaunchConfig& cfg,
         if (!first_error) first_error = std::current_exception();
         failed.store(true, std::memory_order_release);
       }
-      // Unblock replay gates only after the first error is stored, so the
-      // secondary "replay aborted" divergences never win the race to be it.
+      // Unblock replay gates and spinning waiters only after the first error
+      // is stored, so the secondary "replay aborted" divergences and waiter
+      // unwinds never win the race to be it.
+      if (rec) rec->progress().abort();
       if (coord) coord->abort_replay();
     }
   };

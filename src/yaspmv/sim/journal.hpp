@@ -171,8 +171,10 @@ class Journal {
 
 /// Per-workgroup progress heartbeats.  `beat` advances on every observable
 /// step (begin, phase, end); `state` names where the workgroup currently is.
-/// The watchdog distinguishes "slow but alive" (beat advancing) from "will
-/// never publish" (done/failed, or beat frozen across many checks).
+/// The watchdog distinguishes "slow but alive" (not yet done) from "will
+/// never publish" (done without publishing).  `aborted` is the launch-wide
+/// flag the dispatcher raises once a workgroup's failure is recorded as the
+/// launch's error: waiters still spinning then unwind.
 class ProgressTable {
  public:
   static constexpr std::int32_t kNotStarted = -1;
@@ -180,6 +182,7 @@ class ProgressTable {
   static constexpr std::int32_t kFailed = -3;
 
   void resize(std::size_t n) {
+    aborted_.store(false, std::memory_order_relaxed);
     if (slots_ && n <= n_) {
       for (std::size_t i = 0; i < n_; ++i) {
         slots_[i].beat.store(0, std::memory_order_relaxed);
@@ -207,6 +210,9 @@ class ProgressTable {
                    : kNotStarted;
   }
 
+  void abort() { aborted_.store(true, std::memory_order_release); }
+  bool aborted() const { return aborted_.load(std::memory_order_acquire); }
+
   /// Human-readable owner state for timeout attribution.
   std::string describe(std::size_t wg) const {
     const std::int32_t s = state(wg);
@@ -223,6 +229,7 @@ class ProgressTable {
   };
   std::unique_ptr<Slot[]> slots_;
   std::size_t n_ = 0;
+  std::atomic<bool> aborted_{false};
 };
 
 /// Everything one recorded (or replayed) engine run carries: the launch

@@ -31,7 +31,9 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "yaspmv/core/checksum.hpp"
@@ -74,6 +76,13 @@ class CpuOperator {
       : eng_(std::make_shared<const core::Bccoo>(
                  core::Bccoo::build(a, fc, threads)),
              threads, cs) {}
+  /// Over an already-built format, shared with its other readers (the
+  /// serving daemon's spmv ladder and solves read one copy).
+  explicit CpuOperator(std::shared_ptr<const core::Bccoo> m,
+                       unsigned threads = 0,
+                       core::ColStream cs = core::ColStream::kAuto)
+      : eng_(std::move(m), threads, cs) {}
+  const core::Bccoo& format() const { return eng_.format(); }
   index_t rows() const { return eng_.format().rows; }
   index_t cols() const { return eng_.format().cols; }
   unsigned threads() const { return eng_.threads(); }

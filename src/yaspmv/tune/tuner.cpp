@@ -47,16 +47,13 @@ bool close(const std::vector<real_t>& a, const std::vector<real_t>& b) {
   return true;
 }
 
-/// The column stream a candidate's exec flags select on the native backend
-/// (the same mapping bench_cpu_native uses): delta beats short when both are
-/// requested, mirroring the priority of the footprint model.
+}  // namespace
+
 core::ColStream native_stream(const core::ExecConfig& ec) {
   if (ec.compress_col_delta) return core::ColStream::kDelta;
   if (ec.short_col_index) return core::ColStream::kShort;
   return core::ColStream::kRaw;
 }
-
-}  // namespace
 
 std::vector<std::pair<index_t, index_t>> pruned_block_dims(
     const fmt::Coo& a, bool extended) {

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "yaspmv/core/bccoo.hpp"
 #include "yaspmv/core/config.hpp"
 #include "yaspmv/formats/coo.hpp"
 #include "yaspmv/sim/device.hpp"
@@ -101,6 +102,12 @@ struct TuneResult {
   int formats_built = 0;
   double format_build_seconds = 0;
 };
+
+/// The column stream a candidate's exec flags select on the native backend:
+/// delta beats short when both are requested, mirroring the priority of the
+/// footprint model.  The tuner records the kernel id this stream dispatches
+/// to, and serving runs the plan on it.
+core::ColStream native_stream(const core::ExecConfig& ec);
 
 /// Tunes `a` for `dev`.  Throws only on empty/invalid input; candidate
 /// failures (resource overflows) are counted in `skipped`.

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -139,16 +140,28 @@ TEST(ColStreams, DecodeKernelsBitIdenticalAcrossLevels) {
 
 // ---- Property sweep: slices x stream x level x threads vs CSR -----------
 
+// gtest names each case by printing the parameter's raw bytes, and ctest
+// takes its test names from there.  Compiler-inserted padding would print
+// whatever the stack held at construction and rename the case on every
+// discovery, so the three bytes between `cs` and `level` are an explicit,
+// always-zero member.
 struct SweepParam {
   index_t slices;
   ColStream cs;
+  std::uint8_t zero_pad[3] = {};
   Level level;
 };
+static_assert(sizeof(SweepParam) ==
+              sizeof(index_t) + sizeof(ColStream) + 3 + sizeof(Level));
+
+SweepParam sweep(index_t slices, ColStream cs, Level level) {
+  return {.slices = slices, .cs = cs, .level = level};
+}
 
 class CompressedSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(CompressedSweep, MatchesCsrReference) {
-  const auto [slices, cs, level] = GetParam();
+  const auto& [slices, cs, zero_pad, level] = GetParam();
   LevelGuard guard(level);
   const auto local = gen::powerlaw(800, 800, 6, 2.2, 0.4, 3);
   const auto wide = gen::random_scattered(500, 70000, 8, 17);
@@ -179,16 +192,16 @@ TEST_P(CompressedSweep, MatchesCsrReference) {
 INSTANTIATE_TEST_SUITE_P(
     SlicesStreamsLevels, CompressedSweep,
     ::testing::Values(
-        SweepParam{1, ColStream::kRaw, Level::kPortable},
-        SweepParam{1, ColStream::kShort, Level::kPortable},
-        SweepParam{1, ColStream::kDelta, Level::kPortable},
-        SweepParam{1, ColStream::kShort, Level::kAvx2},
-        SweepParam{1, ColStream::kDelta, Level::kAvx2},
-        SweepParam{2, ColStream::kDelta, Level::kAvx2},
-        SweepParam{2, ColStream::kShort, Level::kPortable},
-        SweepParam{4, ColStream::kDelta, Level::kPortable},
-        SweepParam{4, ColStream::kShort, Level::kAvx2},
-        SweepParam{4, ColStream::kAuto, Level::kAvx2}));
+        sweep(1, ColStream::kRaw, Level::kPortable),
+        sweep(1, ColStream::kShort, Level::kPortable),
+        sweep(1, ColStream::kDelta, Level::kPortable),
+        sweep(1, ColStream::kShort, Level::kAvx2),
+        sweep(1, ColStream::kDelta, Level::kAvx2),
+        sweep(2, ColStream::kDelta, Level::kAvx2),
+        sweep(2, ColStream::kShort, Level::kPortable),
+        sweep(4, ColStream::kDelta, Level::kPortable),
+        sweep(4, ColStream::kShort, Level::kAvx2),
+        sweep(4, ColStream::kAuto, Level::kAvx2)));
 
 TEST(ColStreams, BitwiseIdenticalAcrossStreamsAndBuilds) {
   // At a fixed (thread count, dispatch level) the summation order is

@@ -1,9 +1,9 @@
 // Serving-daemon chaos tests: the failure modes the daemon must absorb
-// without crashing or wedging — poisoned requests degrading down the
-// resilient ladder, clients vanishing mid-request, a writer killed with
+// without crashing or wedging — poisoned requests degrading down the native
+// kernel ladder, clients vanishing mid-request, a writer killed with
 // SIGKILL in the middle of a plan-cache store, and a 16-client soak with 10%
-// injected faults where every clean request must match the CSR oracle
-// bitwise and every faulted request must come back as a typed error.
+// injected faults where every clean or recovered request must match the CSR
+// oracle bitwise and every faulted request must come back as a typed error.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -84,7 +84,6 @@ class ServeChaosTest : public ::testing::Test {
     serve::ServerOptions opt;
     opt.socket_path = (dir_ / "s.sock").string();
     opt.plan_cache_dir = (dir_ / "plans").string();
-    opt.journal_dir = (dir_ / "journals").string();
     opt.tune_on_register = false;
     opt.enable_inject = true;
     return opt;
@@ -102,9 +101,9 @@ class ServeChaosTest : public ::testing::Test {
   std::unique_ptr<serve::Server> server_;
 };
 
-// A poisoned request (every simulated rung's launch fails) degrades to the
-// CPU baseline, STILL returns the right answer, dumps a journal per failed
-// attempt — and the server keeps answering everyone else.
+// A poisoned request (a persistent carry flip on every kernel attempt)
+// degrades to the CSR rung under verification and STILL returns the right
+// answer — and the server keeps answering everyone else.
 TEST_F(ServeChaosTest, InjectedFaultDegradesToCpuAndServerKeepsServing) {
   start(base_options());
   const auto a = pow2_matrix(64, 0x61);
@@ -112,33 +111,68 @@ TEST_F(ServeChaosTest, InjectedFaultDegradesToCpuAndServerKeepsServing) {
   const auto reg = c.register_matrix(a);
   ASSERT_EQ(reg.status.status, serve::ServeStatus::kOk);
   const auto x = pow2_x(a.cols, 0x62);
+  const auto want = csr_oracle(a, x);
 
-  serve::RequestOptions inj;
-  inj.inject = serve::Inject::kFailMain;
+  // The fault is live: unverified, it silently corrupts a kOk reply.
+  serve::RequestOptions silent;
+  silent.inject = serve::Inject::kCorruptPublish;
+  const auto bad = c.spmv(reg.matrix_id, x, silent);
+  ASSERT_TRUE(bad.ok()) << bad.status.detail;
+  EXPECT_FALSE(bad.verified);
+  EXPECT_NE(bad.y, want) << "corrupt_publish did not perturb the reply";
+
+  serve::RequestOptions inj = silent;
+  inj.verified = true;
   const auto r = c.spmv(reg.matrix_id, x, inj);
   ASSERT_TRUE(r.ok()) << r.status.detail;
   EXPECT_TRUE(r.recovered);
-  EXPECT_EQ(r.path, "coo-cpu-baseline");
-  EXPECT_GE(r.faults.size(), 2u);  // every simulated rung failed
+  EXPECT_TRUE(r.verified);
+  EXPECT_EQ(r.path, "csr-reference");
+  EXPECT_EQ(r.ladder_step, 2u);
+  // Both kernel rungs: attempt, bare retry, retry after the rebuild.
+  EXPECT_EQ(r.faults.size(), 6u);
   for (const auto& f : r.faults) {
-    EXPECT_EQ(f.status, Status::kLaunchFailure);
-    EXPECT_FALSE(f.journal_file.empty());
-    EXPECT_TRUE(fs::exists(f.journal_file))
-        << "journal dump missing: " << f.journal_file;
+    EXPECT_EQ(f.status, Status::kIntegrityFault);
+    EXPECT_TRUE(f.journal_file.empty());  // native attempts dump no journal
   }
-  // The CPU rung IS the oracle — bitwise equality holds trivially, but the
+  // The CSR rung IS the oracle — bitwise equality holds trivially, but the
   // point is the value is right, not an error.
-  const auto want = csr_oracle(a, x);
   for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(r.y[i], want[i]);
   EXPECT_GE(server_->stats().recovered, 1u);
 
-  // Next clean request on the same engine: back on the fast path.
+  // Next clean request on the same ladder: back on the fast path.
   const auto clean = c.spmv(reg.matrix_id, x);
   ASSERT_TRUE(clean.ok());
   EXPECT_FALSE(clean.recovered);
+  EXPECT_EQ(clean.ladder_step, 0u);
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(clean.y[i], want[i]);
   }
+}
+
+// The simulator's faults have no site on the native serve path: each is a
+// typed kBadRequest, for spmv and solve alike, and the server keeps serving.
+TEST_F(ServeChaosTest, SimulatorInjectsAreBadRequests) {
+  start(base_options());
+  const auto a = pow2_matrix(64, 0x67);
+  serve::Client c(sock());
+  const auto reg = c.register_matrix(a);
+  ASSERT_EQ(reg.status.status, serve::ServeStatus::kOk);
+  const auto x = pow2_x(a.cols, 0x68);
+  for (const auto kind : {serve::Inject::kDropPublish,
+                          serve::Inject::kCorruptCache,
+                          serve::Inject::kFailMain}) {
+    serve::RequestOptions ropt;
+    ropt.inject = kind;
+    EXPECT_EQ(c.spmv(reg.matrix_id, x, ropt).status.status,
+              serve::ServeStatus::kBadRequest);
+    EXPECT_EQ(c.solve(reg.matrix_id, x, 1, 1e-10, 100, ropt).status.status,
+              serve::ServeStatus::kBadRequest);
+  }
+  const auto good = c.spmv(reg.matrix_id, x);
+  ASSERT_TRUE(good.ok());
+  EXPECT_EQ(good.y, csr_oracle(a, x));
+  EXPECT_EQ(server_->stats().accepted, 1u);  // rejected at admission
 }
 
 // A NaN-poisoned request gets a typed error; only that client sees it.
@@ -278,7 +312,7 @@ TEST_F(ServeChaosTest, SoakSixteenClientsTenPercentFaults) {
   constexpr int kClients = 16;
   constexpr int kRequests = 20;
   std::atomic<int> clean_ok{0}, clean_bad{0};
-  std::atomic<int> fault_typed{0}, fault_wrong{0};
+  std::atomic<int> fault_typed{0}, fault_wrong{0}, flipped{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kClients; ++t) {
     threads.emplace_back([&, t] {
@@ -291,10 +325,15 @@ TEST_F(ServeChaosTest, SoakSixteenClientsTenPercentFaults) {
         ropt.retries = 40;
         ropt.backoff_ms = 5;
         if (poison) {
-          // Alternate between a request-data fault (typed error) and an
-          // execution fault (ladder recovery).
-          ropt.inject = (rng.next_below(2) == 0) ? serve::Inject::kNan
-                                                 : serve::Inject::kFailMain;
+          // Alternate between a request-data fault (typed error) and a
+          // verified execution fault (ladder recovery).
+          if (rng.next_below(2) == 0) {
+            ropt.inject = serve::Inject::kNan;
+          } else {
+            ropt.inject = serve::Inject::kCorruptPublish;
+            ropt.verified = true;
+            ++flipped;
+          }
         }
         const auto r = c.spmv(reg.matrix_id, x, ropt);
         if (poison && ropt.inject == serve::Inject::kNan) {
@@ -307,8 +346,8 @@ TEST_F(ServeChaosTest, SoakSixteenClientsTenPercentFaults) {
           }
           continue;
         }
-        // Clean and kFailMain requests must succeed with oracle-exact y
-        // (kFailMain recovers through the ladder to the CPU rung).
+        // Clean and corrupt_publish requests must succeed with oracle-exact
+        // y (the flipped ones recover through the ladder to the CSR rung).
         if (!r.ok()) {
           ++clean_bad;
           continue;
@@ -327,12 +366,16 @@ TEST_F(ServeChaosTest, SoakSixteenClientsTenPercentFaults) {
   EXPECT_EQ(clean_bad.load(), 0);
   EXPECT_EQ(fault_wrong.load(), 0);
   EXPECT_GT(fault_typed.load(), 0);
+  EXPECT_GT(flipped.load(), 0);
   EXPECT_EQ(clean_ok.load() + fault_typed.load(), kClients * kRequests);
 
   // The server is alive and consistent after the storm.
   ASSERT_TRUE(server_->running());
   const auto s = server_->stats();
   EXPECT_EQ(s.faulted, static_cast<std::uint64_t>(fault_typed.load()));
+  // Every flip was detected and recovered: six trips per flipped request.
+  EXPECT_EQ(s.integrity_faults, 6u * static_cast<std::uint64_t>(flipped));
+  EXPECT_EQ(s.integrity_recovered, static_cast<std::uint64_t>(flipped));
   EXPECT_EQ(s.completed,
             static_cast<std::uint64_t>(clean_ok.load() + fault_typed.load()));
   // And it still serves.
@@ -345,9 +388,9 @@ TEST_F(ServeChaosTest, SoakSixteenClientsTenPercentFaults) {
   }
 }
 
-// The silent-corruption soak: kCorruptPublish perturbs partial sums right
-// before they become visible — no classified error is raised anywhere, so an
-// unverified server would return wrong bits with kOk.  Under the ABFT
+// The silent-corruption soak: kCorruptPublish flips a kernel carry right
+// before the fix-up consumes it — no classified error is raised anywhere, so
+// an unverified server would return wrong bits with kOk.  Under the ABFT
 // checksum every poisoned request must either recover to the bitwise-exact
 // oracle answer or fail typed; a wrong kOk reply is the one unforgivable
 // outcome.
@@ -357,9 +400,7 @@ TEST_F(ServeChaosTest, VerifiedSoakNeverReturnsWrongBitsUnderCorruptPublish) {
   opt.queue_capacity = 256;
   opt.max_inflight = 64;
   start(opt);
-  const auto a = pow2_matrix(256, 0x88);  // 1536 blocks: 3 workgroups, so
-  // workgroup 1's corrupted Grp_sum publish has a successor that consumes
-  // it (a 2-workgroup matrix makes the corrupt-publish fault a dead no-op)
+  const auto a = pow2_matrix(256, 0x88);
   serve::Client reg_client(sock());
   const auto reg = reg_client.register_matrix(a);
   ASSERT_EQ(reg.status.status, serve::ServeStatus::kOk);

@@ -19,7 +19,9 @@
 
 #include <unistd.h>
 
+#include "yaspmv/cpu/spmv.hpp"
 #include "yaspmv/formats/csr.hpp"
+#include "yaspmv/gen/suite.hpp"
 #include "yaspmv/serve/client.hpp"
 #include "yaspmv/serve/server.hpp"
 #include "yaspmv/util/rng.hpp"
@@ -96,7 +98,6 @@ class ServeTest : public ::testing::Test {
     serve::ServerOptions opt;
     opt.socket_path = (dir_ / "s.sock").string();
     opt.plan_cache_dir = (dir_ / "plans").string();
-    opt.journal_dir = (dir_ / "journals").string();
     opt.tune_on_register = false;  // most tests do not need a tuning sweep
     return opt;
   }
@@ -126,6 +127,48 @@ TEST_F(ServeTest, SpmvMatchesCsrOracleBitwise) {
   EXPECT_EQ(r.ladder_step, 0u);
   EXPECT_FALSE(r.recovered);
   expect_bitwise(r.y, csr_oracle(a, x));
+}
+
+// The pow2 oracle tests above hold for ANY summation order, so they cannot
+// tell which kernel answered.  A fem_mesh with arbitrary doubles can: every
+// served reply, plain or verified, must equal CpuSpmv::spmv bitwise at the
+// server's (apply threads, SIMD level, segmented-sum mode).
+TEST_F(ServeTest, SpmvIsBitwiseCpuSpmvOnNonPow2FemMesh) {
+  const auto a = gen::fem_mesh(1200, 24, 3, 0.05, 0xFE11);
+  std::vector<real_t> x(static_cast<std::size_t>(a.cols));
+  SplitMix64 rng(0xFE12);
+  for (auto& v : x) v = rng.next_double(-1.0, 1.0);
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE("apply_threads=" + std::to_string(threads));
+    auto opt = base_options();
+    opt.apply_threads = threads;
+    start(opt);
+    serve::Client c(sock());
+    const auto reg = c.register_matrix(a);
+    ASSERT_EQ(reg.status.status, serve::ServeStatus::kOk) << reg.status.detail;
+
+    cpu::CpuSpmv want_eng(std::make_shared<const core::Bccoo>(
+                              core::Bccoo::build(a, core::FormatConfig{})),
+                          threads, core::ColStream::kAuto,
+                          cpu::SegSumMode::kSpeculative);
+    std::vector<real_t> want(static_cast<std::size_t>(a.rows));
+    want_eng.spmv(x, want);
+
+    const auto plain = c.spmv(reg.matrix_id, x);
+    ASSERT_TRUE(plain.ok()) << plain.status.detail;
+    EXPECT_EQ(plain.attempts, 1u);
+    EXPECT_FALSE(plain.verified);
+    expect_bitwise(plain.y, want);
+    serve::RequestOptions vopt;
+    vopt.verified = true;
+    const auto checked = c.spmv(reg.matrix_id, x, vopt);
+    ASSERT_TRUE(checked.ok()) << checked.status.detail;
+    EXPECT_EQ(checked.attempts, 1u);
+    EXPECT_TRUE(checked.verified);
+    expect_bitwise(checked.y, want);
+    c.close();
+    server_.reset();
+  }
 }
 
 TEST_F(ServeTest, ConcurrentClientsAllMatchOracle) {

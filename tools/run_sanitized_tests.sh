@@ -14,9 +14,10 @@
 #            chain and the flight recorder's lock-free journal; plus
 #            serve_test + serve_chaos_test, which drive the serving
 #            daemon's accept / dispatch / executor / drain threads under
-#            concurrent clients; plus integrity_test, whose checksum-
-#            verified applies and fault-injected rollbacks run on the
-#            multi-threaded CpuSpmv chunk pass; plus shard_test +
+#            concurrent clients; plus integrity_test + ladder_test, whose
+#            checksum-verified applies, fault-injected rollbacks and
+#            serve-ladder rebuilds run on the multi-threaded CpuSpmv chunk
+#            pass; plus shard_test +
 #            stream_test, which drive the NUMA shard-affinity schedule
 #            (run_sharded spill, first-touch fills) and the out-of-core
 #            streaming engine through the serving daemon.
@@ -52,7 +53,7 @@ run_tsan() {
     --target chaos_test workpool_test segsum_modes_test compressed_test \
              vecops_test solver_determinism_test kernel_grid_test \
              replay_test serve_test serve_chaos_test integrity_test \
-             shard_test stream_test
+             ladder_test shard_test stream_test
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir "$build" -L "tsan|replay|serve|integrity|shard" \
       --output-on-failure "$@"

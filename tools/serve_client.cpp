@@ -39,8 +39,7 @@ int usage() {
          "  spmv      [--id=<hex>] --n=<cols> | --mtx=|--matrix= "
          "(id derived from the input when omitted)\n"
          "            [--deadline-ms=N] [--retries=N]\n"
-         "            [--inject=nan|drop_publish|corrupt_cache|fail_main|"
-         "sleep:<ms>|corrupt_publish]\n"
+         "            [--inject=nan|sleep:<ms>|corrupt_publish]\n"
          "            [--verified] [--out=<y.txt>]\n"
          "  solve     [--id=<hex>] --n=<rows> | --mtx=|--matrix= "
          "[--solver=cg|bicgstab]\n"
@@ -73,12 +72,6 @@ serve::RequestOptions request_options(const Args& args) {
   if (!inj.empty()) {
     if (inj == "nan") {
       opt.inject = serve::Inject::kNan;
-    } else if (inj == "drop_publish") {
-      opt.inject = serve::Inject::kDropPublish;
-    } else if (inj == "corrupt_cache") {
-      opt.inject = serve::Inject::kCorruptCache;
-    } else if (inj == "fail_main") {
-      opt.inject = serve::Inject::kFailMain;
     } else if (inj == "corrupt_publish") {
       opt.inject = serve::Inject::kCorruptPublish;
     } else if (inj.rfind("sleep:", 0) == 0) {
@@ -211,8 +204,6 @@ int main(int argc, char** argv) {
                 << (r.verified ? ", verified" : "") << ")\n";
       for (const auto& f : r.faults) {
         std::cerr << "  fault: " << f.path << " -> " << to_string(f.status)
-                  << (f.journal_file.empty() ? ""
-                                             : " [" + f.journal_file + "]")
                   << "\n";
       }
       if (args.has("out")) write_vector(args.get("out"), r.y);

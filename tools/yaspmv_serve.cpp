@@ -1,10 +1,11 @@
 // yaspmv-serve — the SpMV serving daemon.
 //
 //   yaspmv-serve --socket=/tmp/yaspmv.sock [--plan-cache=DIR]
-//                [--journal-dir=DIR] [--device=gtx680|gtx480]
-//                [--executors=N] [--queue-capacity=N] [--max-inflight=N]
-//                [--drain-timeout-ms=N] [--verify [--sample-rows=N]]
-//                [--tune-workers=N] [--no-tune] [--enable-inject]
+//                [--device=gtx680|gtx480] [--executors=N]
+//                [--queue-capacity=N] [--max-inflight=N]
+//                [--drain-timeout-ms=N] [--verified] [--max-frame-bytes=N]
+//                [--tune-workers=N] [--apply-threads=N] [--no-tune]
+//                [--enable-inject]
 //
 // Runs until SIGTERM/SIGINT (or a client kShutdown request), then drains
 // gracefully: admissions stop, queued work finishes under the drain
@@ -33,15 +34,11 @@ int usage() {
          "  --socket=<path>        Unix-domain socket to bind (required)\n"
          "  --plan-cache=<dir>     durable plan cache (default: "
          "~/.cache/yaspmv/plans)\n"
-         "  --journal-dir=<dir>    dump a flight-recorder journal per failed "
-         "attempt\n"
          "  --device=gtx680|gtx480 tuning target (default gtx680)\n"
          "  --executors=N          executor threads (0 = auto)\n"
          "  --queue-capacity=N     bounded per-matrix queue (default 64)\n"
          "  --max-inflight=N       global queued+running cap (0 = auto)\n"
          "  --drain-timeout-ms=N   graceful-drain watchdog (default 5000)\n"
-         "  --verify               sampled-row residual check per apply\n"
-         "  --sample-rows=N        rows sampled by --verify (default 16)\n"
          "  --verified             checksum-verify every request (ABFT; "
          "clients can also opt in per request)\n"
          "  --max-frame-bytes=N    reject frames above N payload bytes "
@@ -64,7 +61,6 @@ int main(int argc, char** argv) {
   opt.socket_path = args.get("socket");
   if (opt.socket_path.empty()) return usage();
   opt.plan_cache_dir = args.get("plan-cache");
-  opt.journal_dir = args.get("journal-dir");
   opt.device = args.get("device", "gtx680");
   opt.executors = static_cast<unsigned>(args.get_int("executors", 0));
   opt.queue_capacity =
@@ -72,8 +68,6 @@ int main(int argc, char** argv) {
   opt.max_inflight = static_cast<std::size_t>(args.get_int("max-inflight", 0));
   opt.drain_timeout_ms =
       static_cast<int>(args.get_int("drain-timeout-ms", 5000));
-  opt.verify = args.has("verify");
-  opt.verify_sample_rows = static_cast<int>(args.get_int("sample-rows", 16));
   opt.verified = args.has("verified");
   opt.max_frame_bytes =
       static_cast<std::uint64_t>(args.get_int("max-frame-bytes", 0));
