@@ -8,16 +8,13 @@
 #include <ostream>
 
 #include "yaspmv/core/status.hpp"
+#include "yaspmv/util/hash.hpp"
 
 namespace yaspmv::io {
 
 namespace {
 
-constexpr std::uint32_t kCooMagic = 0x4F4F4359;    // "YCOO"
-constexpr std::uint32_t kBccooMagic = 0x4F434359;  // "YCCO"
-// Version 2: payload is followed by a 64-bit FNV-1a checksum so truncation
-// and bit rot are detected instead of deserialized.
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kCooMagic = 0x4F4F4359;  // "YCOO"
 
 [[noreturn]] void fail_io(const std::string& msg) {
   throw IoError("binary io: " + msg);
@@ -27,32 +24,15 @@ constexpr std::uint32_t kVersion = 2;
   throw FormatInvalid("binary io: " + msg);
 }
 
-/// FNV-1a 64-bit, accumulated over every payload byte between the header and
-/// the trailing checksum field.
-class Fnv1a {
- public:
-  void update(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  std::uint64_t digest() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
 template <class T>
-void put(std::ostream& out, const T& v, Fnv1a& hash) {
+void put(std::ostream& out, const T& v, Hash64& hash) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(T));
   if (!out) fail_io("write failed");
   hash.update(&v, sizeof(T));
 }
 
 template <class T>
-T get(std::istream& in, Fnv1a& hash) {
+T get(std::istream& in, Hash64& hash) {
   T v;
   in.read(reinterpret_cast<char*>(&v), sizeof(T));
   if (!in) fail_io("truncated stream");
@@ -61,7 +41,7 @@ T get(std::istream& in, Fnv1a& hash) {
 }
 
 template <class T>
-void put_vec(std::ostream& out, const std::vector<T>& v, Fnv1a& hash) {
+void put_vec(std::ostream& out, const std::vector<T>& v, Hash64& hash) {
   put<std::uint64_t>(out, v.size(), hash);
   if (!v.empty()) {
     out.write(reinterpret_cast<const char*>(v.data()),
@@ -72,7 +52,7 @@ void put_vec(std::ostream& out, const std::vector<T>& v, Fnv1a& hash) {
 }
 
 template <class T>
-std::vector<T> get_vec(std::istream& in, Fnv1a& hash,
+std::vector<T> get_vec(std::istream& in, Hash64& hash,
                        std::uint64_t limit = 1ull << 33) {
   const auto n = get<std::uint64_t>(in, hash);
   // Overflow-safe length validation: n * sizeof(T) must not wrap before the
@@ -89,26 +69,26 @@ std::vector<T> get_vec(std::istream& in, Fnv1a& hash,
 }
 
 void write_header(std::ostream& out, std::uint32_t magic) {
-  Fnv1a scratch;  // header is outside the checksum
+  Hash64 scratch;  // header is outside the checksum
   put(out, magic, scratch);
-  put(out, kVersion, scratch);
+  put(out, kContainerVersion, scratch);
 }
 
 void check_header(std::istream& in, std::uint32_t magic) {
-  Fnv1a scratch;
+  Hash64 scratch;
   if (get<std::uint32_t>(in, scratch) != magic) fail_format("bad magic");
-  if (get<std::uint32_t>(in, scratch) != kVersion) {
+  if (get<std::uint32_t>(in, scratch) != kContainerVersion) {
     fail_format("unsupported version");
   }
 }
 
-void write_checksum(std::ostream& out, const Fnv1a& hash) {
+void write_checksum(std::ostream& out, const Hash64& hash) {
   const std::uint64_t d = hash.digest();
   out.write(reinterpret_cast<const char*>(&d), sizeof(d));
   if (!out) fail_io("write failed");
 }
 
-void check_checksum(std::istream& in, const Fnv1a& hash) {
+void check_checksum(std::istream& in, const Hash64& hash) {
   std::uint64_t want = 0;
   in.read(reinterpret_cast<char*>(&want), sizeof(want));
   if (!in) fail_io("truncated stream (missing checksum)");
@@ -121,7 +101,7 @@ void check_checksum(std::istream& in, const Fnv1a& hash) {
 
 void save_coo(std::ostream& out, const fmt::Coo& m) {
   write_header(out, kCooMagic);
-  Fnv1a hash;
+  Hash64 hash;
   put<std::int32_t>(out, m.rows, hash);
   put<std::int32_t>(out, m.cols, hash);
   put_vec(out, m.row_idx, hash);
@@ -132,7 +112,7 @@ void save_coo(std::ostream& out, const fmt::Coo& m) {
 
 fmt::Coo load_coo(std::istream& in) {
   check_header(in, kCooMagic);
-  Fnv1a hash;
+  Hash64 hash;
   fmt::Coo m;
   m.rows = get<std::int32_t>(in, hash);
   m.cols = get<std::int32_t>(in, hash);
@@ -157,7 +137,7 @@ fmt::Coo load_coo(std::istream& in) {
 
 void save_bccoo(std::ostream& out, const core::Bccoo& m) {
   write_header(out, kBccooMagic);
-  Fnv1a hash;
+  Hash64 hash;
   put<std::int32_t>(out, m.rows, hash);
   put<std::int32_t>(out, m.cols, hash);
   put<std::int32_t>(out, m.cfg.block_w, hash);
@@ -181,7 +161,7 @@ void save_bccoo(std::ostream& out, const core::Bccoo& m) {
 
 core::Bccoo load_bccoo(std::istream& in, bool rebuild_derived) {
   check_header(in, kBccooMagic);
-  Fnv1a hash;
+  Hash64 hash;
   core::Bccoo m;
   m.rows = get<std::int32_t>(in, hash);
   m.cols = get<std::int32_t>(in, hash);

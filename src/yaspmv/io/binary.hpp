@@ -3,10 +3,14 @@
 // Format conversion is the offline step of the paper's pipeline (offline
 // transpose, auto-tuned format build); persisting the built format lets an
 // application pay the conversion cost once.  The container is a simple
-// little-endian TLV: magic, version, then the arrays with explicit sizes.
-// Files are not portable across endianness (checked via the magic).
+// little-endian TLV: magic, version, then the arrays with explicit sizes,
+// then a 64-bit Hash64 (XXH64, util/hash.hpp) of every byte between the
+// header and the trailer, so truncation and bit rot are detected instead of
+// deserialized.  Files are not portable across endianness (checked via the
+// magic).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -14,6 +18,15 @@
 #include "yaspmv/formats/coo.hpp"
 
 namespace yaspmv::io {
+
+/// Magic of the `.bccoo` container ("YCCO"), read by load_bccoo and by the
+/// mapped loader (io/stream.hpp).
+constexpr std::uint32_t kBccooMagic = 0x4F434359;
+/// Layout version of the COO and `.bccoo` containers.  v2 added the payload
+/// checksum trailer; v3 computes it with Hash64 instead of FNV-1a (same
+/// layout), so a v2 file is rejected as an unsupported version rather than
+/// reported as corrupt.
+constexpr std::uint32_t kContainerVersion = 3;
 
 /// Serializes canonical COO.  Throws std::runtime_error on I/O failure.
 void save_coo(std::ostream& out, const fmt::Coo& m);

@@ -8,13 +8,15 @@
 #include <vector>
 
 #include "yaspmv/core/status.hpp"
+#include "yaspmv/util/hash.hpp"
 
 namespace yaspmv::io {
 
 namespace {
 
 constexpr std::uint32_t kJournalMagic = 0x4E524A59;  // "YJRN"
-constexpr std::uint32_t kJournalVersion = 1;
+// v2: the trailer is Hash64 instead of FNV-1a; the layout is unchanged.
+constexpr std::uint32_t kJournalVersion = 2;
 
 [[noreturn]] void fail_io(const std::string& msg) {
   throw IoError("journal io: " + msg);
@@ -24,32 +26,15 @@ constexpr std::uint32_t kJournalVersion = 1;
   throw FormatInvalid("journal io: " + msg);
 }
 
-/// FNV-1a 64-bit over every payload byte between header and checksum (same
-/// scheme as io/binary.cpp).
-class Fnv1a {
- public:
-  void update(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  std::uint64_t digest() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
 template <class T>
-void put(std::ostream& out, const T& v, Fnv1a& hash) {
+void put(std::ostream& out, const T& v, Hash64& hash) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(T));
   if (!out) fail_io("write failed");
   hash.update(&v, sizeof(T));
 }
 
 template <class T>
-T get(std::istream& in, Fnv1a& hash) {
+T get(std::istream& in, Hash64& hash) {
   T v;
   in.read(reinterpret_cast<char*>(&v), sizeof(T));
   if (!in) fail_io("truncated stream");
@@ -60,11 +45,11 @@ T get(std::istream& in, Fnv1a& hash) {
 }  // namespace
 
 void save_journal(std::ostream& out, const sim::RecordedRun& run) {
-  Fnv1a scratch;  // header is outside the checksum
+  Hash64 scratch;  // header is outside the checksum
   put(out, kJournalMagic, scratch);
   put(out, kJournalVersion, scratch);
 
-  Fnv1a hash;
+  Hash64 hash;
   put<std::int32_t>(out, run.num_workgroups, hash);
   put<std::int32_t>(out, run.workgroup_size, hash);
   put<std::uint32_t>(out, run.workers, hash);
@@ -91,7 +76,7 @@ void save_journal(std::ostream& out, const sim::RecordedRun& run) {
 }
 
 sim::RecordedRun load_journal(std::istream& in) {
-  Fnv1a scratch;
+  Hash64 scratch;
   if (get<std::uint32_t>(in, scratch) != kJournalMagic) {
     fail_format("bad magic (not a journal file)");
   }
@@ -99,7 +84,7 @@ sim::RecordedRun load_journal(std::istream& in) {
     fail_format("unsupported journal version");
   }
 
-  Fnv1a hash;
+  Hash64 hash;
   sim::RecordedRun run;
   run.num_workgroups = get<std::int32_t>(in, hash);
   run.workgroup_size = get<std::int32_t>(in, hash);

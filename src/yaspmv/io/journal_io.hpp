@@ -3,9 +3,10 @@
 // A journal file is the portable artifact of "debugging a hang": record a
 // failing pooled run with --record, attach the file to a bug report, replay
 // it anywhere with --replay.  Same container discipline as io/binary.cpp —
-// little-endian TLV with a magic/version header outside a trailing FNV-1a 64
-// checksum, so truncation and bit rot raise DataCorruption instead of
-// deserializing garbage schedules.
+// little-endian TLV with a magic/version header outside a trailing Hash64
+// (XXH64) checksum, so truncation and bit rot raise DataCorruption instead
+// of deserializing garbage schedules.  A journal of another version (an
+// older build's FNV-1a trailer) is FormatInvalid.
 #pragma once
 
 #include <iosfwd>

@@ -6,15 +6,13 @@
 #include <ostream>
 
 #include "yaspmv/core/status.hpp"
+#include "yaspmv/util/hash.hpp"
 
 namespace yaspmv::io {
 
 namespace {
 
 constexpr std::uint32_t kPlanMagic = 0x4E4C5059;  // "YPLN"
-// File-format version (container layout), independent of kPlanCodeVersion
-// (semantic validity of the stored configs).
-constexpr std::uint32_t kPlanFileVersion = 1;
 
 [[noreturn]] void fail_io(const std::string& msg) {
   throw IoError("plan io: " + msg);
@@ -24,30 +22,15 @@ constexpr std::uint32_t kPlanFileVersion = 1;
   throw FormatInvalid("plan io: " + msg);
 }
 
-class Fnv1a {
- public:
-  void update(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  std::uint64_t digest() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
 template <class T>
-void put(std::ostream& out, const T& v, Fnv1a& hash) {
+void put(std::ostream& out, const T& v, Hash64& hash) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(T));
   if (!out) fail_io("write failed");
   hash.update(&v, sizeof(T));
 }
 
 template <class T>
-T get(std::istream& in, Fnv1a& hash) {
+T get(std::istream& in, Hash64& hash) {
   T v;
   in.read(reinterpret_cast<char*>(&v), sizeof(T));
   if (!in) fail_io("truncated stream");
@@ -55,7 +38,7 @@ T get(std::istream& in, Fnv1a& hash) {
   return v;
 }
 
-void put_string(std::ostream& out, const std::string& s, Fnv1a& hash) {
+void put_string(std::ostream& out, const std::string& s, Hash64& hash) {
   put<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()), hash);
   if (!s.empty()) {
     out.write(s.data(), static_cast<std::streamsize>(s.size()));
@@ -64,7 +47,7 @@ void put_string(std::ostream& out, const std::string& s, Fnv1a& hash) {
   }
 }
 
-std::string get_string(std::istream& in, Fnv1a& hash) {
+std::string get_string(std::istream& in, Hash64& hash) {
   const auto n = get<std::uint32_t>(in, hash);
   if (n > (1u << 16)) fail_format("string length implausible");
   std::string s(n, '\0');
@@ -76,7 +59,7 @@ std::string get_string(std::istream& in, Fnv1a& hash) {
   return s;
 }
 
-void put_candidate(std::ostream& out, const tune::Candidate& c, Fnv1a& hash) {
+void put_candidate(std::ostream& out, const tune::Candidate& c, Hash64& hash) {
   put<std::int32_t>(out, c.format.block_w, hash);
   put<std::int32_t>(out, c.format.block_h, hash);
   put<std::uint8_t>(out, static_cast<std::uint8_t>(c.format.bf_word), hash);
@@ -103,7 +86,7 @@ void put_candidate(std::ostream& out, const tune::Candidate& c, Fnv1a& hash) {
   put_string(out, c.kernel, hash);  // v2: dispatched kernel id
 }
 
-tune::Candidate get_candidate(std::istream& in, Fnv1a& hash) {
+tune::Candidate get_candidate(std::istream& in, Hash64& hash) {
   tune::Candidate c;
   c.format.block_w = get<std::int32_t>(in, hash);
   c.format.block_h = get<std::int32_t>(in, hash);
@@ -155,7 +138,7 @@ tune::Candidate get_candidate(std::istream& in, Fnv1a& hash) {
 }  // namespace
 
 std::uint64_t payload_checksum(const fmt::Coo& a) {
-  Fnv1a h;
+  Hash64 h;
   const std::int32_t rows = a.rows;
   const std::int32_t cols = a.cols;
   h.update(&rows, sizeof rows);
@@ -175,10 +158,10 @@ std::uint64_t payload_checksum(const fmt::Coo& a) {
 }
 
 void save_plan(std::ostream& out, const PlanRecord& p) {
-  Fnv1a scratch;  // header is outside the checksum
+  Hash64 scratch;  // header is outside the checksum
   put(out, kPlanMagic, scratch);
   put(out, kPlanFileVersion, scratch);
-  Fnv1a hash;
+  Hash64 hash;
   put<std::uint32_t>(out, p.code_version, hash);
   put<std::uint64_t>(out, p.payload_checksum, hash);
   put_string(out, p.device, hash);
@@ -191,12 +174,12 @@ void save_plan(std::ostream& out, const PlanRecord& p) {
 }
 
 PlanRecord load_plan(std::istream& in) {
-  Fnv1a scratch;
+  Hash64 scratch;
   if (get<std::uint32_t>(in, scratch) != kPlanMagic) fail_format("bad magic");
   if (get<std::uint32_t>(in, scratch) != kPlanFileVersion) {
     fail_format("unsupported plan file version");
   }
-  Fnv1a hash;
+  Hash64 hash;
   PlanRecord p;
   p.code_version = get<std::uint32_t>(in, hash);
   // Check the code version *before* parsing the candidate: the candidate

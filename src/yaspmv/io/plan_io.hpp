@@ -6,17 +6,19 @@
 // stored plan still applies.  The key has three parts and all of them are
 // stored *inside* the file and re-checked on load:
 //
-//   * payload_checksum — FNV-1a over the matrix's canonical COO triplets
-//     (shape + indices + values), so a plan never outlives its matrix;
+//   * payload_checksum — Hash64 (XXH64) over the matrix's canonical COO
+//     triplets (shape + indices + values), so a plan never outlives its
+//     matrix;
 //   * device           — the DeviceSpec the tuner modeled against;
 //   * code_version     — kPlanCodeVersion, bumped whenever the tuner, the
 //     formats or the kernels change meaning; stale plans load as a miss.
 //
 // The container is the same shape as the other YASPMV binary files: magic,
-// file version, payload, trailing FNV-1a checksum.  load_plan throws typed
-// SpmvErrors; the durable PlanCache (serve/plan_cache) catches them and
-// treats every failure as a cache miss — a corrupt plan file re-tunes, it
-// never crashes the server.
+// file version, payload, trailing Hash64 checksum.  A file of another
+// version (an older build's FNV-1a trailer) is FormatInvalid.  load_plan
+// throws typed SpmvErrors; the durable PlanCache (serve/plan_cache) catches
+// them and treats every failure as a cache miss — a corrupt or old plan file
+// re-tunes, it never crashes the server.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +29,11 @@
 #include "yaspmv/tune/tuner.hpp"
 
 namespace yaspmv::io {
+
+/// File-format version (container layout), independent of kPlanCodeVersion
+/// (semantic validity of the stored configs).  v2: the trailer is Hash64
+/// instead of FNV-1a; the layout is unchanged.
+constexpr std::uint32_t kPlanFileVersion = 2;
 
 /// Bump when a stored FormatConfig/ExecConfig would no longer reproduce the
 /// same kernels (tuner heuristics, format layout or exec semantics changed).
@@ -44,9 +51,10 @@ struct PlanRecord {
   int evaluated = 0;           ///< sweep size behind the stored plan
 };
 
-/// FNV-1a over rows, cols and the canonical triplet arrays — the identity of
-/// a matrix for plan-cache purposes (same accumulation as the binary
-/// container, so the id is stable across save/load round trips).
+/// Hash64 over rows, cols and the canonical triplet arrays — the identity of
+/// a matrix for plan-cache purposes and its serve registry id.  64 bits
+/// because registration is idempotent by id: two matrices sharing one would
+/// be served as one.
 std::uint64_t payload_checksum(const fmt::Coo& a);
 
 /// Serializes `p`.  Throws IoError on stream failure.

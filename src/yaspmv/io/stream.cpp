@@ -12,6 +12,9 @@
 #include <mutex>
 #include <utility>
 
+#include "yaspmv/io/binary.hpp"
+#include "yaspmv/util/hash.hpp"
+
 namespace yaspmv::io {
 
 namespace detail {
@@ -48,10 +51,8 @@ void install_sigbus_handler() {
 
 namespace {
 
-constexpr std::uint32_t kBccooMagic = 0x4F434359;  // "YCCO"
-constexpr std::uint32_t kVersion = 2;
 constexpr std::size_t kHeaderBytes = 8;    // magic + version
-constexpr std::size_t kChecksumBytes = 8;  // trailing FNV-1a digest
+constexpr std::size_t kChecksumBytes = 8;  // trailing Hash64 digest
 
 [[noreturn]] void fail_format(const std::string& msg) {
   throw FormatInvalid("mapped bccoo: " + msg);
@@ -119,7 +120,9 @@ MappedBccoo::MappedBccoo(const std::string& path) : path_(path) {
 void MappedBccoo::parse_and_verify() {
   Cursor c{base_, size_ - kChecksumBytes, 0};
   if (c.get<std::uint32_t>() != kBccooMagic) fail_format("bad magic");
-  if (c.get<std::uint32_t>() != kVersion) fail_format("unsupported version");
+  if (c.get<std::uint32_t>() != kContainerVersion) {
+    fail_format("unsupported version");
+  }
 
   rows_ = c.get<std::int32_t>();
   cols_ = c.get<std::int32_t>();
@@ -189,17 +192,14 @@ void MappedBccoo::parse_and_verify() {
     }
   }
 
-  // Full payload checksum (the same FNV-1a io/binary.cpp writes): one
+  // Full payload checksum (the same Hash64 io/binary.cpp writes): one
   // sequential pass, then the pages are dropped again so opening a huge
   // file does not charge its size to the page cache permanently.
   advise_range(0, size_, Advice::kSequential);
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = kHeaderBytes; i < size_ - kChecksumBytes; ++i) {
-    h ^= base_[i];
-    h *= 0x100000001b3ull;
-  }
+  Hash64 h;
+  h.update(base_ + kHeaderBytes, size_ - kHeaderBytes - kChecksumBytes);
   std::memcpy(&checksum_, base_ + size_ - kChecksumBytes, kChecksumBytes);
-  if (h != checksum_) {
+  if (h.digest() != checksum_) {
     throw DataCorruption("mapped bccoo: payload checksum mismatch in " +
                          path_);
   }

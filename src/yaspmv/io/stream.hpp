@@ -5,13 +5,15 @@
 //
 // MappedBccoo parses the same container save_bccoo writes — geometry
 // fields up front, then the bit-flag words, the raw 4-byte column index,
-// the per-row value arrays and the segment map, with a trailing FNV-1a
-// payload checksum.  Opening verifies the full checksum once (one
-// sequential pass over the mapping, advised kSequential and dropped
-// afterwards), so tampered or bit-rotted files fail typed at open instead
-// of mid-apply.  The derived compressed column streams are not in the file
-// (the in-memory loader rebuilds them); the streaming engine reads the raw
-// index, which decodes tile-independently by construction.
+// the per-row value arrays and the segment map, with a trailing Hash64
+// (XXH64) payload checksum.  Opening verifies the full checksum once (one
+// sequential pass over the mapping at memory speed, advised kSequential and
+// dropped afterwards), so tampered or bit-rotted files fail typed at open
+// instead of mid-apply.  A container of another version (an older build's
+// FNV-1a trailer) fails FormatInvalid on the version field before any
+// checksum is computed.  The derived compressed column streams are not in
+// the file (the in-memory loader rebuilds them); the streaming engine reads
+// the raw index, which decodes tile-independently by construction.
 //
 // Array starts inside the mapping are NOT guaranteed aligned (two u8
 // fields sit in the middle of the layout), so access goes through memcpy
@@ -100,7 +102,7 @@ class MappedBccoo {
   std::int32_t block_rows() const { return block_rows_; }
   std::uint64_t num_blocks() const { return num_blocks_; }
   std::size_t num_segments() const { return num_segments_; }
-  /// The container's stored FNV-1a payload checksum (verified at open) —
+  /// The container's stored Hash64 payload checksum (verified at open) —
   /// a stable content id, e.g. the serve registry key.
   std::uint64_t payload_checksum() const { return checksum_; }
   /// Bytes one full apply streams off the mapping (per-block arrays plus

@@ -4,14 +4,15 @@
 // checksummed binary frames:
 //
 //   u32 magic 'YSRV' | u16 version | u16 type | u64 payload_len |
-//   payload bytes    | u64 FNV-1a(version, type, payload_len, payload)
+//   payload bytes    | u64 Hash64(version, type, payload_len, payload)
 //
-// The checksum covers everything after the magic, so a torn write, a
-// truncated stream or in-flight corruption is detected before any payload
-// field is interpreted.  Every request frame gets exactly one response frame
-// of the same type whose payload starts with a common status block
-// (ServeStatus + the library Status of the underlying SpmvError + a detail
-// string); type-specific result fields follow only when the status is kOk.
+// The checksum (XXH64, util/hash.hpp) covers everything after the magic, so
+// a torn write, a truncated stream or in-flight corruption is detected
+// before any payload field is interpreted.  Every request frame gets
+// exactly one response frame of the same type whose payload starts with a
+// common status block (ServeStatus + the library Status of the underlying
+// SpmvError + a detail string); type-specific result fields follow only
+// when the status is kOk.
 // A malformed frame is answered with a kProtocolError response when the
 // socket still works, and the connection is closed either way — one
 // misbehaving client never takes the server down.
@@ -32,15 +33,18 @@
 
 #include "yaspmv/core/status.hpp"
 #include "yaspmv/util/common.hpp"
+#include "yaspmv/util/hash.hpp"
 
 namespace yaspmv::serve {
 
 constexpr std::uint32_t kFrameMagic = 0x56525359;  // "YSRV"
 /// v2: per-request `verified` flag on kSpmv/kSolve, integrity counters in
-/// the kStats reply, Inject::kCorruptPublish.  Versions are exact-match (the
-/// daemon and its clients ship together), so v1 peers are rejected cleanly
-/// at the frame layer instead of misparsing the grown payloads.
-constexpr std::uint16_t kProtocolVersion = 2;
+/// the kStats reply, Inject::kCorruptPublish.  v3: the trailer is Hash64
+/// (XXH64) instead of byte-serial FNV-1a; payloads are unchanged.  Versions
+/// are exact-match (the daemon and its clients ship together), so an older
+/// peer is rejected cleanly at the frame layer, never trailer-checked with
+/// the wrong hash or misparsed.
+constexpr std::uint16_t kProtocolVersion = 3;
 /// Default upper bound on one frame's payload (a registration carries whole
 /// matrices; 1 GiB is far above any test matrix and far below "runaway").
 /// Deployments front the daemon with ServerOptions::max_frame_bytes to
@@ -104,22 +108,6 @@ enum class Inject : std::uint8_t {
   kCorruptPublish = 6,  ///< silent bit flip in a kernel carry on every
                         ///< kernel-rung attempt — only a verified request
                         ///< can tell the reply went wrong
-};
-
-/// FNV-1a 64-bit, the same accumulation the binary/journal containers use.
-class Fnv1a64 {
- public:
-  void update(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  std::uint64_t digest() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
 // ---------------------------------------------------------------------------
@@ -251,22 +239,32 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-inline void write_frame(int fd, MsgType type,
-                        const std::vector<std::uint8_t>& payload) {
-  struct Header {
-    std::uint32_t magic;
-    std::uint16_t version;
-    std::uint16_t type;
-    std::uint64_t len;
-  } h{kFrameMagic, kProtocolVersion, static_cast<std::uint16_t>(type),
-      payload.size()};
-  static_assert(sizeof(Header) == 16);
-  Fnv1a64 sum;
+/// The fixed 16-byte frame header, laid out as it travels.
+struct FrameHeader {
+  std::uint32_t magic;
+  std::uint16_t version;
+  std::uint16_t type;
+  std::uint64_t len;
+};
+static_assert(sizeof(FrameHeader) == 16);
+
+/// The frame trailer: Hash64 over every header field after the magic, then
+/// the `h.len` payload bytes.
+inline std::uint64_t frame_checksum(const FrameHeader& h,
+                                    const std::uint8_t* payload) {
+  Hash64 sum;
   sum.update(&h.version, sizeof h.version);
   sum.update(&h.type, sizeof h.type);
   sum.update(&h.len, sizeof h.len);
-  sum.update(payload.data(), payload.size());
-  const std::uint64_t digest = sum.digest();
+  sum.update(payload, static_cast<std::size_t>(h.len));
+  return sum.digest();
+}
+
+inline void write_frame(int fd, MsgType type,
+                        const std::vector<std::uint8_t>& payload) {
+  const FrameHeader h{kFrameMagic, kProtocolVersion,
+                      static_cast<std::uint16_t>(type), payload.size()};
+  const std::uint64_t digest = frame_checksum(h, payload.data());
   write_all(fd, &h, sizeof h);
   if (!payload.empty()) write_all(fd, payload.data(), payload.size());
   write_all(fd, &digest, sizeof digest);
@@ -281,12 +279,7 @@ inline void write_frame(int fd, MsgType type,
 /// allocation.
 inline bool read_frame(int fd, Frame& out,
                        std::uint64_t max_payload = kMaxFramePayload) {
-  struct Header {
-    std::uint32_t magic;
-    std::uint16_t version;
-    std::uint16_t type;
-    std::uint64_t len;
-  } h;
+  FrameHeader h{};
   if (!read_exact(fd, &h, sizeof h, /*eof_ok=*/true)) return false;
   if (h.magic != kFrameMagic) throw FormatInvalid("frame: bad magic");
   if (h.version != kProtocolVersion) {
@@ -306,12 +299,7 @@ inline bool read_frame(int fd, Frame& out,
   }
   std::uint64_t want = 0;
   read_exact(fd, &want, sizeof want, /*eof_ok=*/false);
-  Fnv1a64 sum;
-  sum.update(&h.version, sizeof h.version);
-  sum.update(&h.type, sizeof h.type);
-  sum.update(&h.len, sizeof h.len);
-  sum.update(out.payload.data(), out.payload.size());
-  if (sum.digest() != want) {
+  if (frame_checksum(h, out.payload.data()) != want) {
     throw FormatInvalid("frame: checksum mismatch (corrupt or torn frame)");
   }
   return true;

@@ -4,15 +4,22 @@
 // uncaught parse error.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
 
+#include <unistd.h>
+
+#include "legacy_fnv1a.hpp"
 #include "yaspmv/core/bccoo.hpp"
 #include "yaspmv/core/status.hpp"
 #include "yaspmv/gen/suite.hpp"
 #include "yaspmv/io/binary.hpp"
+#include "yaspmv/io/journal_io.hpp"
 #include "yaspmv/io/matrix_market.hpp"
+#include "yaspmv/io/stream.hpp"
 
 namespace yaspmv {
 namespace {
@@ -244,6 +251,98 @@ TEST(MalformedBinary, LoadedBccooRebuildsValidColumnStreams) {
 TEST(MalformedBinary, MissingBinaryFileIsIoError) {
   EXPECT_THROW(io::load_coo_file("/nonexistent/never.bin"), IoError);
   EXPECT_THROW(io::load_bccoo_file("/nonexistent/never.bin"), IoError);
+}
+
+// ---- formats of the FNV-1a era ---------------------------------------------
+//
+// Before Hash64 every file carried an FNV-1a trailer under an older version
+// number (container v2, journal v1) with today's layout.  Such a file must
+// fail typed on its version field: FormatInvalid "unsupported ... version",
+// never a DataCorruption from checking its trailer with the wrong hash.
+
+template <class Fn>
+void expect_unsupported_version(const char* reader, Fn&& load) {
+  try {
+    load();
+    ADD_FAILURE() << reader << " loaded an FNV-era file";
+  } catch (const FormatInvalid& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported"), std::string::npos)
+        << reader << ": " << e.what();
+  } catch (const SpmvError& e) {
+    ADD_FAILURE() << reader << " threw the wrong class: " << e.what();
+  }
+}
+
+TEST(MalformedBinary, FnvEraContainerV2IsUnsupportedVersion) {
+  // What the last FNV-1a build wrote for diag(1, 2) built at 1x1 blocks,
+  // u16 flags, one slice: two blocks, each closing its block row.
+  const auto a = fmt::Coo::from_triplets(2, 2, {0, 1}, {0, 1}, {1.0, 2.0});
+  testing_legacy::LegacyWriter w(/*unhashed_prefix=*/8);
+  w.put<std::uint32_t>(0x4F434359).put<std::uint32_t>(2);  // "YCCO", v2
+  w.put<std::int32_t>(2).put<std::int32_t>(2);    // rows, cols
+  w.put<std::int32_t>(1).put<std::int32_t>(1);    // block_w, block_h
+  w.put<std::uint8_t>(16).put<std::int32_t>(1);   // bf_word u16, slices
+  w.put<std::int32_t>(2).put<std::int32_t>(2);    // block_rows, block_cols
+  w.put<std::int32_t>(2);                         // stacked_block_rows
+  w.put<std::uint64_t>(2).put<std::uint64_t>(2);  // num_blocks, flag bits
+  w.put<std::uint64_t>(1).put<std::uint32_t>(0);  // flag words: two stops
+  w.put<std::uint64_t>(2).put<index_t>(0).put<index_t>(1);  // col index
+  w.put<std::uint32_t>(1);                        // one value row
+  w.put<std::uint64_t>(2).put<real_t>(1.0).put<real_t>(2.0);
+  w.put<std::uint64_t>(2).put<index_t>(0).put<index_t>(1);  // segment map
+  w.put<std::uint8_t>(1);                         // identity segments
+  const std::string bytes = w.seal();
+
+  // The hand-written body is today's layout byte for byte: only the version
+  // field and the trailer differ from what save_bccoo writes now.
+  const std::string now = bccoo_bytes(core::Bccoo::build(a, {}));
+  ASSERT_EQ(now.size(), bytes.size());
+  EXPECT_EQ(now.substr(8, bytes.size() - 16),
+            bytes.substr(8, bytes.size() - 16));
+
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("yaspmv-fnv-era-" + std::to_string(::getpid()) +
+                     ".bccoo");
+  {
+    std::ofstream f(path, std::ios::binary);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  expect_unsupported_version("load_bccoo_file",
+                             [&] { io::load_bccoo_file(path.string()); });
+  expect_unsupported_version("MappedBccoo",
+                             [&] { io::MappedBccoo m(path.string()); });
+  std::filesystem::remove(path);
+}
+
+TEST(MalformedBinary, FnvEraJournalV1IsUnsupportedVersion) {
+  // What the last FNV-1a build wrote for a four-workgroup run with no fault
+  // armed and one launch-begin event.
+  sim::RecordedRun run;
+  run.num_workgroups = 4;
+  run.workgroup_size = 64;
+  run.workers = 2;
+  run.events.push_back(sim::Event{.wg = -1, .aux = 4});
+  testing_legacy::LegacyWriter w(/*unhashed_prefix=*/8);
+  w.put<std::uint32_t>(0x4E524A59).put<std::uint32_t>(1);  // "YJRN", v1
+  w.put<std::int32_t>(4).put<std::int32_t>(64).put<std::uint32_t>(2);
+  w.put<std::uint8_t>(0).put<std::int32_t>(0);    // fault: none, wg 0
+  w.put<std::uint8_t>(1).put<double>(0.0);        // launch carry, magnitude
+  w.put<std::uint64_t>(0).put<std::uint64_t>(1);  // spin budget, one event
+  w.put<std::uint64_t>(0).put<std::uint8_t>(0);   // seq, launch-begin
+  w.put<std::uint8_t>(0).put<std::uint16_t>(0);   // kind, worker
+  w.put<std::int32_t>(-1).put<std::int32_t>(4);   // wg, aux
+  const std::string bytes = w.seal();
+
+  std::ostringstream now;
+  io::save_journal(now, run);
+  ASSERT_EQ(now.str().size(), bytes.size());
+  EXPECT_EQ(now.str().substr(8, bytes.size() - 16),
+            bytes.substr(8, bytes.size() - 16));
+
+  expect_unsupported_version("load_journal", [&] {
+    std::istringstream in(bytes);
+    io::load_journal(in);
+  });
 }
 
 }  // namespace

@@ -11,8 +11,10 @@
 
 #include <unistd.h>
 
+#include "legacy_fnv1a.hpp"
 #include "yaspmv/io/plan_io.hpp"
 #include "yaspmv/serve/plan_cache.hpp"
+#include "yaspmv/util/hash.hpp"
 #include "yaspmv/util/rng.hpp"
 
 namespace yaspmv {
@@ -371,23 +373,19 @@ TEST(PlanCacheFile, ImplausibleConfigFieldsAreRejected) {
 }
 
 TEST(PlanCacheFile, V1LayoutPlanLoadsAsMissNeverMisparses) {
-  // Hand-author a byte-exact v1 plan file: code_version = 1 and a candidate
-  // WITHOUT the v2 kernel-id field, with an internally consistent trailing
-  // digest (a real v1 binary wrote exactly this).  The loader must reject
-  // it on the code-version gate — before the layout difference can
-  // mis-parse downstream fields into a plausible-looking wrong plan — and
-  // through PlanCache that rejection is a miss, i.e. a retune, never a
-  // wrong dispatch.
+  // Hand-author a byte-exact code-version-1 plan body: code_version = 1 and
+  // a candidate WITHOUT the v2 kernel-id field (a real v1 binary wrote
+  // exactly this body), inside the current file envelope — file version and
+  // Hash64 trailer — so the file passes the container gates and reaches the
+  // code-version gate.  The loader must reject it there — before the layout
+  // difference can mis-parse downstream fields into a plausible-looking
+  // wrong plan — and through PlanCache that rejection is a miss, i.e. a
+  // retune, never a wrong dispatch.
   std::ostringstream out;
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
+  Hash64 h;
   const auto raw = [&](const void* p, std::size_t n, bool hashed) {
     out.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
-    if (!hashed) return;
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 0x100000001b3ull;
-    }
+    if (hashed) h.update(p, n);
   };
   const auto put32 = [&](std::uint32_t v, bool hashed = true) {
     raw(&v, sizeof v, hashed);
@@ -400,7 +398,7 @@ TEST(PlanCacheFile, V1LayoutPlanLoadsAsMissNeverMisparses) {
   const std::uint64_t payload = 0x1234567890ABCDEFull;
   const std::string device = "GTX680";
   put32(0x4E4C5059, /*hashed=*/false);  // magic "YPLN" (header unhashed)
-  put32(1, /*hashed=*/false);           // file version
+  put32(io::kPlanFileVersion, /*hashed=*/false);  // file version
   put32(1);                             // code_version: the v1 vintage
   put64(payload);
   put32(static_cast<std::uint32_t>(device.size()));
@@ -424,7 +422,7 @@ TEST(PlanCacheFile, V1LayoutPlanLoadsAsMissNeverMisparses) {
   // v1 stops here: no kernel-id string.
   putd(2.25);  // tuning_seconds
   puti32(184); // evaluated
-  const std::uint64_t digest = h;
+  const std::uint64_t digest = h.digest();
   raw(&digest, sizeof digest, false);
 
   std::istringstream in(out.str());
@@ -447,6 +445,65 @@ TEST(PlanCacheFile, V1LayoutPlanLoadsAsMissNeverMisparses) {
   }
   EXPECT_FALSE(cache.load(payload, device).has_value())
       << "stale-version plan file must load as a miss";
+}
+
+TEST(PlanCacheFile, FnvEraFileVersion1LoadsAsMissNeverCorrupt) {
+  // Hand-author what the last FNV-1a build wrote for sample_record(): plan
+  // file version 1, today's code version 2 and candidate layout (kernel id
+  // included), FNV-1a trailer.  Only the file-version gate tells this file
+  // from a current one, so it must fail there — FormatInvalid, not a
+  // DataCorruption from checking the trailer with the wrong hash — and load
+  // through PlanCache as a miss.
+  const auto rec = sample_record();
+  const std::string kernel = "generic";
+  testing_legacy::LegacyWriter w(/*unhashed_prefix=*/8);
+  w.put<std::uint32_t>(0x4E4C5059).put<std::uint32_t>(1);  // "YPLN", file v1
+  w.put<std::uint32_t>(2).put<std::uint64_t>(rec.payload_checksum);
+  w.put<std::uint32_t>(static_cast<std::uint32_t>(rec.device.size()))
+      .raw(rec.device.data(), rec.device.size());
+  w.put<std::int32_t>(2).put<std::int32_t>(4);     // block_w, block_h
+  w.put<std::uint8_t>(16).put<std::int32_t>(4);    // bf_word u16, slices
+  w.put<std::uint8_t>(2);                          // strategy: result cache
+  w.put<std::int32_t>(128).put<std::int32_t>(8);   // workgroup, thread tile
+  w.put<std::int32_t>(0).put<std::int32_t>(1);     // shm tile, cache multiple
+  w.put<std::uint8_t>(0);                          // transpose: offline
+  w.put<std::uint8_t>(1u | 4u | 16u);  // texture | short col | skip scan
+  w.put<std::uint32_t>(3);                         // workers
+  w.put<double>(123.456).put<std::uint64_t>(987654);  // gflops, footprint
+  w.put<double>(7.5).put<std::uint64_t>(4242);     // measured gflops, bytes
+  w.put<std::uint32_t>(static_cast<std::uint32_t>(kernel.size()))
+      .raw(kernel.data(), kernel.size());
+  w.put<double>(2.25).put<std::int32_t>(184);      // tuning s, evaluated
+  const std::string bytes = w.seal();
+
+  // The hand-written body is today's layout byte for byte: only the version
+  // field and the trailer differ from what save_plan writes now.
+  std::ostringstream now;
+  io::save_plan(now, rec);
+  ASSERT_EQ(now.str().size(), bytes.size());
+  EXPECT_EQ(now.str().substr(8, bytes.size() - 16),
+            bytes.substr(8, bytes.size() - 16));
+
+  std::istringstream in(bytes);
+  try {
+    io::load_plan(in);
+    FAIL() << "a file-version-1 plan must not load";
+  } catch (const FormatInvalid& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported plan file version"),
+              std::string::npos)
+        << e.what();
+  }
+
+  CacheDir tmp;
+  serve::PlanCache cache(tmp.dir.string());
+  std::filesystem::create_directories(tmp.dir);
+  {
+    std::ofstream f(cache.path_for(rec.payload_checksum, rec.device),
+                    std::ios::binary);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  EXPECT_FALSE(cache.load(rec.payload_checksum, rec.device).has_value())
+      << "an FNV-era plan file must load as a miss";
 }
 
 TEST(PlanCacheFile, PayloadChecksumTracksMatrixIdentity) {

@@ -10,15 +10,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include "legacy_fnv1a.hpp"
 #include "yaspmv/cpu/spmv.hpp"
 #include "yaspmv/formats/csr.hpp"
 #include "yaspmv/gen/suite.hpp"
@@ -562,12 +567,8 @@ TEST_F(ServeTest, OversizedFrameIsRejectedBeforeAllocation) {
   // A well-formed header whose declared length exceeds the cap — but is
   // far below kMaxFramePayload — must bounce on the length field alone,
   // before any payload buffer is allocated or a single payload byte read.
-  struct Header {
-    std::uint32_t magic;
-    std::uint16_t version;
-    std::uint16_t type;
-    std::uint64_t len;
-  } h{serve::kFrameMagic, serve::kProtocolVersion,
+  const serve::FrameHeader h{
+      serve::kFrameMagic, serve::kProtocolVersion,
       static_cast<std::uint16_t>(serve::MsgType::kSpmv), 1u << 20};
   ASSERT_EQ(::send(c.fd(), &h, sizeof h, 0),
             static_cast<ssize_t>(sizeof h));
@@ -583,6 +584,118 @@ TEST_F(ServeTest, OversizedFrameIsRejectedBeforeAllocation) {
   // Small frames still fit under the cap: a fresh connection serves stats.
   serve::Client c2(sock());
   EXPECT_EQ(c2.stats().status.status, serve::ServeStatus::kOk);
+}
+
+/// The payload of a plain spmv request for `x`, laid out as Client::spmv
+/// writes it.
+std::vector<std::uint8_t> spmv_payload(std::uint64_t id,
+                                       const std::vector<real_t>& x) {
+  serve::WireWriter w;
+  w.put<std::uint64_t>(id);
+  w.put<std::uint32_t>(0);  // deadline_ms: none
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(serve::Inject::kNone));
+  w.put<std::uint32_t>(0);  // inject arg
+  w.put<std::uint8_t>(0);   // plain, not verified
+  w.put_vec(x);
+  return w.take();
+}
+
+TEST_F(ServeTest, FnvEraV2FrameGetsOneProtocolErrorNamingVersion2) {
+  start(base_options());
+  serve::Client c(sock());
+  const auto before = server_->stats().protocol_errors;
+  // What the last FNV-1a client wrote for a plain spmv: the v2 header,
+  // today's payload layout, and an FNV-1a trailer over everything after
+  // the magic.
+  const auto payload = spmv_payload(0x1234, {1.0, -2.0, 0.5});
+  testing_legacy::LegacyWriter w(/*unhashed_prefix=*/4);
+  w.put<std::uint32_t>(serve::kFrameMagic).put<std::uint16_t>(2);
+  w.put<std::uint16_t>(static_cast<std::uint16_t>(serve::MsgType::kSpmv));
+  w.put<std::uint64_t>(payload.size()).raw(payload.data(), payload.size());
+  const std::string frame = w.seal();
+  serve::write_all(c.fd(), frame.data(), frame.size());
+
+  serve::Frame f;
+  ASSERT_TRUE(serve::read_frame(c.fd(), f));
+  serve::WireReader r(f.payload);
+  const auto status = serve::get_reply_status(r);
+  EXPECT_EQ(status.status, serve::ServeStatus::kProtocolError);
+  EXPECT_EQ(status.code, Status::kFormatInvalid);
+  EXPECT_NE(status.detail.find("unsupported protocol version 2"),
+            std::string::npos)
+      << status.detail;
+  EXPECT_EQ(server_->stats().protocol_errors, before + 1);
+  // One reply and no second one: the server dropped the connection.  A
+  // server that kept it open would leave this read to time out instead.
+  const timeval wait{5, 0};
+  ASSERT_EQ(::setsockopt(c.fd(), SOL_SOCKET, SO_RCVTIMEO, &wait, sizeof wait),
+            0);
+  char more = 0;
+  ssize_t got = ::recv(c.fd(), &more, 1, 0);
+  // The request's unread payload and trailer were still queued at the
+  // server when it closed, so the first read may report the reset.
+  if (got < 0 && errno == ECONNRESET) got = ::recv(c.fd(), &more, 1, 0);
+  EXPECT_EQ(got, 0) << "errno " << errno;
+}
+
+TEST(ServeFrame, EverySingleBitFlipIsRejectedNeverReturnedNeverBlocks) {
+  // Capture the exact bytes write_frame puts on the wire for a small spmv.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  serve::write_frame(sv[0], serve::MsgType::kSpmv,
+                     spmv_payload(0xFEED, {0.25, -1.0, 4.0}));
+  ::shutdown(sv[0], SHUT_WR);
+  std::vector<char> clean(4096);
+  const ssize_t n = ::recv(sv[1], clean.data(), clean.size(), MSG_WAITALL);
+  ::close(sv[0]);
+  ::close(sv[1]);
+  ASSERT_GT(n, 24);
+  clean.resize(static_cast<std::size_t>(n));
+
+  // A cap like the server's --max-frame-bytes keeps a flipped high length
+  // bit from allocating: it is rejected on the length field alone.
+  constexpr std::uint64_t kCap = 1u << 16;
+  const auto read_back = [&](const std::vector<char>& bytes,
+                             serve::Frame& f) {
+    int p[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, p) != 0) {
+      throw std::runtime_error("socketpair failed");
+    }
+    serve::write_all(p[0], bytes.data(), bytes.size());
+    ::shutdown(p[0], SHUT_WR);  // EOF after the bytes: a read never blocks
+    try {
+      const bool got = serve::read_frame(p[1], f, kCap);
+      ::close(p[0]);
+      ::close(p[1]);
+      return got;
+    } catch (...) {
+      ::close(p[0]);
+      ::close(p[1]);
+      throw;
+    }
+  };
+
+  serve::Frame f;
+  ASSERT_TRUE(read_back(clean, f));
+  ASSERT_EQ(f.type, serve::MsgType::kSpmv);
+  ASSERT_EQ(f.payload.size(), clean.size() - 24);
+
+  std::size_t rejected = 0;
+  for (std::size_t bit = 0; bit < clean.size() * 8; ++bit) {
+    auto bytes = clean;
+    bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+    try {
+      serve::Frame g;
+      const bool got = read_back(bytes, g);
+      ADD_FAILURE() << "flip of bit " << bit
+                    << (got ? " returned a frame" : " read as a clean EOF");
+    } catch (const FormatInvalid&) {
+      ++rejected;
+    } catch (const IoError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(rejected, clean.size() * 8);
 }
 
 TEST_F(ServeTest, StatsReportOverSocketMatchesInProcess) {

@@ -212,8 +212,8 @@ TEST_F(StreamTest, TamperedPayloadFailsChecksumAtOpen) {
   const auto A = gen::powerlaw(400, 400, 5, 2.2, 0.4, 9);
   const auto path = save(core::Bccoo::build(A, {}));
   const auto size = fs::file_size(path);
-  // Flip one byte in the middle of the payload: the full-file FNV verify
-  // at open must classify it as data corruption.
+  // Flip one byte in the middle of the payload: the full-file Hash64
+  // verify at open must classify it as data corruption.
   {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
     f.seekg(static_cast<std::streamoff>(size / 2));

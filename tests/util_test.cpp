@@ -1,12 +1,16 @@
 // Unit tests for the util layer: common helpers, RNG determinism and
-// distributions, CLI args, table printer, ordered parallel-for.
+// distributions, CLI args, table printer, ordered parallel-for, Hash64.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "yaspmv/util/args.hpp"
 #include "yaspmv/util/common.hpp"
+#include "yaspmv/util/hash.hpp"
 #include "yaspmv/util/json.hpp"
 #include "yaspmv/util/rng.hpp"
 #include "yaspmv/util/table.hpp"
@@ -176,6 +180,68 @@ TEST(Json, ValidatorAcceptsAndRejects) {
   EXPECT_FALSE(json::valid("{} extra"));
   EXPECT_FALSE(json::valid("\"unterminated"));
   EXPECT_FALSE(json::valid("\"bad \\q escape\""));
+}
+
+std::uint64_t hash64(const void* p, std::size_t n) {
+  Hash64 h;
+  h.update(p, n);
+  return h.digest();
+}
+
+std::uint64_t hash_text(const std::string& s) {
+  return hash64(s.data(), s.size());
+}
+
+/// Bytes (i * 131 + 7) & 0xFF: no run or period shorter than the buffer.
+std::vector<unsigned char> pattern(std::size_t n) {
+  std::vector<unsigned char> b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<unsigned char>((i * 131 + 7) & 0xFF);
+  }
+  return b;
+}
+
+TEST(Hash64, MatchesXxh64ReferenceVectors) {
+  // Seed-0 digests of the reference XXH64 implementation (libxxhash 0.8.1).
+  EXPECT_EQ(hash_text(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(hash_text("abc"), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(hash_text("The quick brown fox jumps over the lazy dog"),
+            0x0b242d361fda71bcull);
+  const auto b = pattern(1000);
+  EXPECT_EQ(hash64(b.data(), 100), 0x9ddada11d3dc2d8full);
+  EXPECT_EQ(hash64(b.data(), 1000), 0x0bf0bdbcc82eb373ull);
+}
+
+TEST(Hash64, StreamingEqualsOneUpdateAtEverySplit) {
+  const auto b = pattern(1000);
+  const std::uint64_t want = hash64(b.data(), b.size());
+  for (std::size_t split = 0; split <= b.size(); ++split) {
+    Hash64 h;
+    h.update(b.data(), split);
+    h.update(b.data() + split, b.size() - split);
+    ASSERT_EQ(h.digest(), want) << "split at " << split;
+  }
+  Hash64 dribble;
+  for (const unsigned char c : b) dribble.update(&c, 1);
+  EXPECT_EQ(dribble.digest(), want);
+  // digest() does not consume the state: more input continues the stream.
+  Hash64 twice;
+  twice.update(b.data(), 500);
+  EXPECT_EQ(twice.digest(), hash64(b.data(), 500));
+  twice.update(b.data() + 500, 500);
+  EXPECT_EQ(twice.digest(), want);
+}
+
+TEST(Hash64, StartOffsetDoesNotChangeTheDigest) {
+  // Word loads go through memcpy: a misaligned start reads the same lanes.
+  const auto b = pattern(1000);
+  const std::uint64_t want = hash64(b.data(), b.size());
+  std::vector<unsigned char> shifted(b.size() + 8);
+  for (std::size_t off = 1; off <= 7; ++off) {
+    std::memcpy(shifted.data() + off, b.data(), b.size());
+    EXPECT_EQ(hash64(shifted.data() + off, b.size()), want)
+        << "offset " << off;
+  }
 }
 
 }  // namespace
