@@ -501,10 +501,17 @@ std::vector<std::uint8_t> Server::handle_register(WireReader& r) {
           // Rank candidates at the thread count applies will actually run
           // with, so launch/fix-up overhead weighs in at deploy shape.
           topt.rank_threads = opt_.apply_threads;
-          Stopwatch tune_sw;
-          const auto tr = tune::tune(a, dev_, topt);
+          tune::TuneResult tr;
+          {
+            // Cold tunes take turns: the pool runs one launch at a time,
+            // so a second concurrent sweep would fall back to a serial
+            // loop on its own thread and take longer than waiting would.
+            std::lock_guard<std::mutex> tlk(tune_mu_);
+            Stopwatch tune_sw;
+            tr = tune::tune(a, dev_, topt);
+            entry->tuning_seconds = tune_sw.elapsed_seconds();
+          }
           entry->plan = tr.best;
-          entry->tuning_seconds = tune_sw.elapsed_seconds();
           entry->evaluated = tr.evaluated;
           io::PlanRecord rec;
           rec.payload_checksum = id;

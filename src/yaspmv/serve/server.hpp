@@ -17,7 +17,8 @@
 //     returns a typed error to *its* client; the process and every other
 //     request keep going;
 //   * durable plans — registration consults the crash-safe PlanCache before
-//     tuning, so a restarted daemon skips straight to serving;
+//     tuning, so a restarted daemon skips straight to serving; cold tunes of
+//     different matrices take turns, since each sweep wants the whole pool;
 //   * graceful drain — stop() (SIGTERM in the daemon binary) stops
 //     admissions, finishes queued work under a watchdog timeout (leftover
 //     requests get kShuttingDown, never silence), and exits cleanly.
@@ -195,6 +196,7 @@ class Server {
   mutable std::mutex reg_mu_;
   std::condition_variable reg_cv_;  ///< signaled when a registration finishes
   std::map<std::uint64_t, std::shared_ptr<MatrixEntry>> matrices_;
+  std::mutex tune_mu_;  ///< held around a cache-miss tune::tune call only
 
   // Dispatch state (guarded by disp_mu_).
   mutable std::mutex disp_mu_;

@@ -26,6 +26,17 @@
 //                  while execution never pays for threads the machine does
 //                  not have.
 //
+// A launch wakes and waits for only its own participants: workers
+// 1..limit-1 each get their own cache-line slot bumped, and one counter of
+// those participants is the barrier; pool threads at or above the limit stay
+// parked.  Both sides spin for a bounded time before they park on a futex
+// (std::atomic::wait), so back-to-back launches — a CG iteration makes four
+// — hand over in about a microsecond instead of a futex round trip each.
+// Spinning happens only where it cannot starve a thread that holds work: on
+// launches whose worker count fits the hardware.  An oversubscribed
+// run_ordered launch (16 workers on 4 cores, whose bodies may wait on each
+// other) parks at once on both sides.
+//
 // The body parameter is a template (one type-erased call per *launch*, not a
 // std::function indirection per index), so chunk kernels inline into the
 // claim loop.  Nested submissions (a body that itself calls
@@ -39,7 +50,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -61,10 +72,15 @@
 
 namespace yaspmv {
 
-/// Default worker count for pooled dispatch (at least 1).
+/// Default worker count for pooled dispatch (at least 1).  Read once per
+/// process: glibc answers hardware_concurrency() by reading sysfs, which
+/// costs microseconds, and unordered launches ask on every call.
 inline unsigned default_workers() {
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 1u : hc;
+  static const unsigned n = [] {
+    const unsigned hc = std::thread::hardware_concurrency();
+    return hc == 0 ? 1u : hc;
+  }();
+  return n;
 }
 
 /// NUMA nodes the machine actually has: the libnuma probe when compiled in
@@ -103,16 +119,32 @@ inline unsigned default_shards() {
 /// A persistent pool of parked worker threads executing one job at a time
 /// (ordered ticket or unordered contiguous-range claims — see the file
 /// comment).  The submitting thread participates as worker 0; pool
-/// threads are workers 1..N.  The pool grows on demand (up to kMaxWorkers)
-/// when a launch requests more workers than are parked, so a caller asking
-/// for 8 workers gets 8 OS threads even on a smaller machine — exactly what
-/// the previous spawn-per-call implementation provided, which the TSan
-/// suites rely on to exercise real interleavings.
+/// threads are workers 1..N.  A launch of `limit` workers wakes workers
+/// 1..limit-1 only, and its barrier counts only them.  The pool grows on
+/// demand (up to kMaxWorkers) when a launch requests more workers than are
+/// parked, so a caller asking for 8 workers gets 8 OS threads even on a
+/// smaller machine — exactly what the previous spawn-per-call
+/// implementation provided, which the TSan suites rely on to exercise real
+/// interleavings.
 class WorkPool {
  public:
   static constexpr unsigned kMaxWorkers = 256;
 
-  explicit WorkPool(unsigned workers = 0) {
+  /// How long a worker waits for its next job, and a submitter for its
+  /// barrier, in a spin before parking on a futex.  Bounded by elapsed time,
+  /// not by a count of pauses, because `pause` latency ranges from about 10
+  /// to 140 cycles across x86 parts.  Chosen on a 4-vCPU AVX-512 KVM guest
+  /// (g++ 12.2, glibc 2.36): an empty two-worker launch took 18–19 µs when
+  /// it woke its helper through a condition variable, about 9 µs through
+  /// the futex, and 1.1–1.5 µs inside the window; a two-thread CG
+  /// solve of a 128×128 Poisson system (239 iterations, four launches each)
+  /// took 27–28 ms with a 50-µs window, 29–31 ms with 20 µs and 30–31 ms
+  /// with 10 µs, against 39–45 ms parking every time.  A longer window only
+  /// burns more CPU between sparse launches.
+  static constexpr std::chrono::microseconds kSpinWindow{50};
+
+  explicit WorkPool(unsigned workers = 0)
+      : slots_(new Slot[kMaxWorkers]), hw_(default_workers()) {
     ensure_workers(workers == 0 ? default_workers() : workers);
   }
 
@@ -120,18 +152,14 @@ class WorkPool {
   WorkPool& operator=(const WorkPool&) = delete;
 
   ~WorkPool() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-    }
-    wake_cv_.notify_all();
+    stop_.store(true);
+    for (unsigned w = 1; w <= threads_.size(); ++w) wake(w);
     for (auto& t : threads_) t.join();
   }
 
   /// Workers available without growing (pool threads + the submitter).
   unsigned workers() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return static_cast<unsigned>(threads_.size()) + 1;
+    return spawned_.load(std::memory_order_relaxed) + 1;
   }
 
   /// Queue introspection for admission control: pooled launches currently
@@ -352,7 +380,14 @@ class WorkPool {
   struct Job {
     void (*invoke)(void*, unsigned) = nullptr;
     void* ctx = nullptr;
-    unsigned limit = 0;  ///< workers with id >= limit skip this job
+    unsigned limit = 0;  ///< participants are workers 0..limit-1
+  };
+
+  /// One pool thread's wake-up word: the submitter bumps it once per job the
+  /// thread takes part in (and once at teardown).  A cache line each, so a
+  /// spinning worker reads a line only its own wake-ups write.
+  struct alignas(64) Slot {
+    std::atomic<std::uint32_t> seq{0};
   };
 
   template <class Body>
@@ -360,50 +395,80 @@ class WorkPool {
     for (std::size_t i = 0; i < n; ++i) body(0u, i);
   }
 
-  /// Publishes `runner` to the parked threads (workers with id >= limit skip
-  /// it), runs it as worker 0 on the calling thread, and waits for the
-  /// barrier.  Caller holds submit_mu_ and has already sized the pool.
+  static void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+  }
+
+  /// Returns the first value of `word` that satisfies `done`: spinning for
+  /// up to kSpinWindow when `spin`, then parking in std::atomic::wait.  The
+  /// clock is read every 64 pauses, not on every one.
+  template <class Done>
+  static std::uint32_t spin_then_park(const std::atomic<std::uint32_t>& word,
+                                      bool spin, Done done) {
+    std::uint32_t v = word.load();
+    if (spin && !done(v)) {
+      const auto deadline = std::chrono::steady_clock::now() + kSpinWindow;
+      for (unsigned i = 1; !done(v = word.load()); ++i) {
+        cpu_relax();
+        if (i % 64 == 0 && std::chrono::steady_clock::now() >= deadline) {
+          break;
+        }
+      }
+    }
+    while (!done(v)) {
+      word.wait(v);
+      v = word.load();
+    }
+    return v;
+  }
+
+  /// Hands worker `w` its next job (or the stop signal).  The bump is a
+  /// sequentially consistent RMW, which std::atomic::notify_one needs to
+  /// see a worker that is just entering its wait.
+  void wake(unsigned w) {
+    slots_[w].seq.fetch_add(1);
+    slots_[w].seq.notify_one();
+  }
+
+  /// Publishes `runner` to workers 1..limit-1, runs it as worker 0 on the
+  /// calling thread, and waits until those participants have finished.
+  /// Caller holds submit_mu_ and has already sized the pool.
   template <class Runner>
   void launch(unsigned limit, Runner& runner) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      job_.invoke = [](void* ctx, unsigned worker) {
-        (*static_cast<Runner*>(ctx))(worker);
-      };
-      job_.ctx = &runner;
-      job_.limit = limit;
-      pending_ = static_cast<unsigned>(threads_.size());
-      ++generation_;
-    }
-    wake_cv_.notify_all();
+    job_.invoke = [](void* ctx, unsigned worker) {
+      (*static_cast<Runner*>(ctx))(worker);
+    };
+    job_.ctx = &runner;
+    job_.limit = limit;
+    pending_.store(limit - 1);
+    for (unsigned w = 1; w < limit; ++w) wake(w);
 
     tl_in_job_ = true;
     runner(0);
     tl_in_job_ = false;
 
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      done_cv_.wait(lk, [&] { return pending_ == 0; });
-    }
+    spin_then_park(pending_, limit <= hw_,
+                   [](std::uint32_t v) { return v == 0; });
   }
 
   /// Grows the pool so `total` workers (including the submitter) exist.
   /// Only called while no job is in flight (constructor, or under
-  /// submit_mu_ before the job is published).
+  /// submit_mu_ before the job is published).  A new thread starts from
+  /// seq 0, so a job published before it first runs is not missed.
   void ensure_workers(unsigned total) {
     if (total > kMaxWorkers) total = kMaxWorkers;
-    std::lock_guard<std::mutex> lk(mu_);
     while (threads_.size() + 1 < total) {
       const auto id = static_cast<unsigned>(threads_.size()) + 1;
-      // The worker's starting generation is captured at spawn time (under
-      // mu_, with no job in flight): a job published between the spawn and
-      // the thread actually running must not be missed.
-      const std::uint64_t seen = generation_;
-      threads_.emplace_back([this, id, seen] { worker_main(id, seen); });
+      threads_.emplace_back([this, id] { worker_main(id); });
+      spawned_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
-  void worker_main(unsigned id, std::uint64_t seen) {
+  void worker_main(unsigned id) {
 #if defined(YASPMV_WITH_LIBNUMA)
     // Bind each pool thread to a node round-robin so sharded launches (home
     // shard = id % nshards) read the pages their shard's first-touch pass
@@ -413,35 +478,38 @@ class WorkPool {
       (void)numa_run_on_node(static_cast<int>(id % nodes));
     }
 #endif
-    std::unique_lock<std::mutex> lk(mu_);
+    const std::atomic<std::uint32_t>& seq = slots_[id].seq;
+    std::uint32_t seen = 0;
+    bool spin = false;  // parked until the first job
     for (;;) {
-      wake_cv_.wait(lk, [&] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
+      seen = spin_then_park(seq, spin,
+                            [seen](std::uint32_t v) { return v != seen; });
+      if (stop_.load()) return;
+      // Copy the job before the barrier: once pending_ reaches 0 the
+      // submitter may publish the next one.
       const Job job = job_;
-      lk.unlock();
-      if (id < job.limit) {
-        tl_in_job_ = true;
-        job.invoke(job.ctx, id);
-        tl_in_job_ = false;
-      }
-      lk.lock();
-      if (--pending_ == 0) done_cv_.notify_all();
+      tl_in_job_ = true;
+      job.invoke(job.ctx, id);
+      tl_in_job_ = false;
+      // Wait hot for the next job only when this one fit the hardware; a
+      // spinning helper of an oversubscribed launch would take a core from
+      // a worker that still holds tickets.
+      spin = job.limit <= hw_;
+      if (pending_.fetch_sub(1) == 1) pending_.notify_one();
     }
   }
 
   inline static thread_local bool tl_in_job_ = false;
 
-  mutable std::mutex mu_;          ///< guards job_/generation_/pending_/threads_
+  std::unique_ptr<Slot[]> slots_;  ///< indexed by worker id (slot 0 unused)
+  const unsigned hw_;              ///< default_workers(): launches that fit spin
   std::mutex submit_mu_;           ///< serializes launches (one job at a time)
-  std::condition_variable wake_cv_;
-  std::condition_variable done_cv_;
-  std::vector<std::thread> threads_;
-  Job job_;
-  std::uint64_t generation_ = 0;
-  unsigned pending_ = 0;
-  bool stop_ = false;
+  Job job_;                        ///< published to participants by wake()
+  alignas(64) std::atomic<std::uint32_t> pending_{0};  ///< participants left
+  std::atomic<bool> stop_{false};
   std::atomic<unsigned> active_launches_{0};
+  std::atomic<unsigned> spawned_{0};  ///< threads_.size(), for workers()
+  std::vector<std::thread> threads_;  ///< grown only with no job in flight
 };
 
 /// Runs `body(worker, i)` for i in [0, n) on the shared WorkPool using up to

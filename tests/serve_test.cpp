@@ -11,10 +11,12 @@
 
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -404,6 +406,134 @@ TEST_F(ServeTest, SolveConvergesOnSpdSystem) {
     EXPECT_NEAR(ax[static_cast<std::size_t>(i)],
                 b[static_cast<std::size_t>(i)], 1e-8);
   }
+}
+
+/// 2-D 5-point Poisson operator on an n x n grid (SPD).
+fmt::Coo poisson2d(index_t n) {
+  std::vector<index_t> ri, ci;
+  std::vector<real_t> v;
+  const auto add = [&](index_t r, index_t c, real_t x) {
+    ri.push_back(r);
+    ci.push_back(c);
+    v.push_back(x);
+  };
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = 0; j < n; ++j) {
+      const index_t r = i * n + j;
+      add(r, r, 4.0);
+      if (i > 0) add(r, r - n, -1.0);
+      if (i + 1 < n) add(r, r + n, -1.0);
+      if (j > 0) add(r, r - 1, -1.0);
+      if (j + 1 < n) add(r, r + 1, -1.0);
+    }
+  }
+  return fmt::Coo::from_triplets(n * n, n * n, std::move(ri), std::move(ci),
+                                 std::move(v));
+}
+
+// At apply_threads above 1 every CG iteration runs pooled: the apply's
+// chunk pass and the fused vector kernels.  The pool may only move work
+// between threads, never change a bit of the answer, across requests and
+// across a restart that reloads the plan.
+TEST_F(ServeTest, PooledCgSolveIsBitwiseStableAcrossRequestsAndRestart) {
+  auto opt = base_options();
+  opt.apply_threads = 2;
+  opt.tune_on_register = true;
+  start(opt);
+  const auto a = poisson2d(64);
+  const auto b = pow2_x(a.rows, 0x5C6);
+  constexpr double kTol = 1e-8;
+  const auto b_norm = std::sqrt(std::inner_product(
+      b.begin(), b.end(), b.begin(), 0.0));
+
+  serve::Client c(sock());
+  const auto reg = c.register_matrix(a);
+  ASSERT_EQ(reg.status.status, serve::ServeStatus::kOk) << reg.status.detail;
+  const auto first = c.solve(reg.matrix_id, b, /*solver=*/1, kTol, 2000);
+  ASSERT_TRUE(first.ok()) << first.status.detail;
+  ASSERT_TRUE(first.converged);
+  const auto ax = csr_oracle(a, first.x);
+  double r2 = 0;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    r2 += (b[i] - ax[i]) * (b[i] - ax[i]);
+  }
+  EXPECT_LE(std::sqrt(r2) / b_norm, kTol);
+
+  for (int rep = 1; rep < 20; ++rep) {
+    SCOPED_TRACE("request " + std::to_string(rep));
+    const auto r = c.solve(reg.matrix_id, b, /*solver=*/1, kTol, 2000);
+    ASSERT_TRUE(r.ok()) << r.status.detail;
+    EXPECT_TRUE(r.converged);
+    EXPECT_EQ(r.iterations, first.iterations);
+    expect_bitwise(r.x, first.x);
+    if (HasFailure()) return;
+  }
+  c.close();
+  server_.reset();
+
+  start(opt);  // same plan cache: the plan loads, no sweep
+  serve::Client c2(sock());
+  const auto warm = c2.register_matrix(a);
+  ASSERT_EQ(warm.status.status, serve::ServeStatus::kOk);
+  EXPECT_TRUE(warm.warm);
+  EXPECT_EQ(warm.kernel, reg.kernel);
+  const auto again = c2.solve(warm.matrix_id, b, /*solver=*/1, kTol, 2000);
+  ASSERT_TRUE(again.ok()) << again.status.detail;
+  EXPECT_EQ(again.iterations, first.iterations);
+  expect_bitwise(again.x, first.x);
+}
+
+// Two cold registrations arriving together tune one after the other (each
+// sweep wants the whole pool).  Taking turns must not change what either
+// registration picks or serves.
+TEST_F(ServeTest, ConcurrentColdRegistrationsTuneAsIfAlone) {
+  const fmt::Coo mats[2] = {pow2_matrix(32, 0x7A1), pow2_matrix(40, 0x7B2)};
+  std::string solo_kernel[2];
+  for (int m = 0; m < 2; ++m) {
+    auto opt = base_options();
+    opt.tune_on_register = true;
+    opt.plan_cache_dir = (dir_ / ("solo-plans-" + std::to_string(m))).string();
+    start(opt);
+    serve::Client c(sock());
+    const auto r = c.register_matrix(mats[m]);
+    ASSERT_EQ(r.status.status, serve::ServeStatus::kOk) << r.status.detail;
+    ASSERT_FALSE(r.warm);
+    solo_kernel[m] = r.kernel;
+    c.close();
+    server_.reset();
+  }
+
+  auto opt = base_options();
+  opt.tune_on_register = true;
+  start(opt);
+  serve::RegisterResult got[2];
+  std::atomic<int> connected{0};
+  std::vector<std::thread> clients;
+  for (int m = 0; m < 2; ++m) {
+    clients.emplace_back([&, m] {
+      serve::Client c(sock());
+      connected.fetch_add(1);
+      while (connected.load() < 2) std::this_thread::yield();
+      got[m] = c.register_matrix(mats[m]);
+    });
+  }
+  for (auto& t : clients) t.join();
+
+  serve::Client c(sock());
+  for (int m = 0; m < 2; ++m) {
+    SCOPED_TRACE("matrix " + std::to_string(m));
+    ASSERT_EQ(got[m].status.status, serve::ServeStatus::kOk)
+        << got[m].status.detail;
+    EXPECT_TRUE(got[m].newly_registered);
+    EXPECT_FALSE(got[m].warm);
+    EXPECT_EQ(got[m].kernel, solo_kernel[m]);
+    const auto x = pow2_x(mats[m].cols, 0x7C3 + m);
+    const auto r = c.spmv(got[m].matrix_id, x);
+    ASSERT_TRUE(r.ok()) << r.status.detail;
+    expect_bitwise(r.y, csr_oracle(mats[m], x));
+  }
+  EXPECT_EQ(server_->stats().registered, 2u);
+  EXPECT_EQ(server_->stats().plan_cache_misses, 2u);
 }
 
 TEST_F(ServeTest, MalformedFrameGetsProtocolErrorReply) {

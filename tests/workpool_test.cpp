@@ -1,13 +1,16 @@
 // WorkPool tests: ordered ticket dispatch on persistent workers, reuse
 // across launches, on-demand growth, nested and concurrent submission
-// degradation, exception poisoning, and the parallel tuner sweep equaling
-// the serial one.  Labeled `tsan` so the sanitizer script's TSan pass
+// degradation, exception poisoning, the spin-then-park wake-up and barrier
+// (parked workers and submitters, participant-only barriers, teardown,
+// oversubscribed launches), and the parallel tuner sweep equaling the
+// serial one.  Labeled `tsan` so the sanitizer script's TSan pass
 // exercises the pool's real interleavings.
 #include "yaspmv/util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -20,25 +23,32 @@
 namespace yaspmv {
 namespace {
 
+/// One run_ordered launch of n items on `limit` workers: every index must
+/// run exactly once and every worker id must be below the limit.
+void expect_exact_cover(WorkPool& pool, std::size_t n, unsigned limit) {
+  std::vector<std::atomic<int>> hits(n);
+  for (auto& h : hits) h.store(0);
+  std::atomic<unsigned> max_worker{0};
+  pool.run_ordered(n, limit, [&](unsigned w, std::size_t i) {
+    hits[i].fetch_add(1);
+    unsigned cur = max_worker.load();
+    while (w > cur && !max_worker.compare_exchange_weak(cur, w)) {
+    }
+  });
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "workers=" << limit << " n=" << n
+                                 << " index " << i;
+  }
+  EXPECT_LT(max_worker.load(), limit);
+}
+
 TEST(WorkPool, CoversEveryIndexExactlyOnce) {
   WorkPool pool(4);
   for (unsigned workers : {1u, 2u, 4u, 7u}) {
     for (std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{64},
                           std::size_t{1000}}) {
-      std::vector<std::atomic<int>> hits(n);
-      for (auto& h : hits) h.store(0);
-      std::atomic<unsigned> max_worker{0};
-      pool.run_ordered(n, workers, [&](unsigned w, std::size_t i) {
-        hits[i].fetch_add(1);
-        unsigned cur = max_worker.load();
-        while (w > cur && !max_worker.compare_exchange_weak(cur, w)) {
-        }
-      });
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(hits[i].load(), 1) << "workers=" << workers << " n=" << n
-                                     << " index " << i;
-      }
-      EXPECT_LT(max_worker.load(), workers);
+      expect_exact_cover(pool, n, workers);
+      if (HasFatalFailure()) return;
     }
   }
 }
@@ -152,6 +162,94 @@ TEST(WorkPool, SharedPoolThroughFreeFunction) {
     hits[i]++;
   });
   for (int h : hits) ASSERT_EQ(h, 1);
+}
+
+// Far longer than WorkPool::kSpinWindow: whoever waits this long parks.
+constexpr auto kParkGap = std::chrono::milliseconds(20);
+static_assert(kParkGap >= 100 * WorkPool::kSpinWindow);
+
+TEST(WorkPool, ParkedWorkersWakeForLaterLaunches) {
+  WorkPool pool(4);
+  for (int round = 0; round < 3; ++round) {
+    for (unsigned limit : {2u, 4u}) {
+      std::this_thread::sleep_for(kParkGap);
+      expect_exact_cover(pool, 64, limit);
+    }
+  }
+}
+
+TEST(WorkPool, SubmitterParksUntilHelperBodyFinishes) {
+  WorkPool pool(2);
+  for (int round = 0; round < 3; ++round) {
+    // Item 0 holds worker 0 until a helper has claimed item 1, so a helper
+    // runs the slow body and the submitter reaches the barrier first.  The
+    // helper's plain write must be visible (and race-free under TSan) once
+    // the launch returns.
+    std::atomic<bool> helper_started{false};
+    int written = 0;
+    pool.run_ordered(2, 2, [&](unsigned w, std::size_t) {
+      if (w == 0) {
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!helper_started.load() &&
+               std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::yield();
+        }
+        return;
+      }
+      helper_started.store(true);
+      std::this_thread::sleep_for(kParkGap);
+      written = 42 + round;
+    });
+    ASSERT_TRUE(helper_started.load()) << "no helper took item 1";
+    EXPECT_EQ(written, 42 + round);
+  }
+}
+
+TEST(WorkPool, BarrierCountsOnlyTheLaunchParticipants) {
+  // Workers 2..7 take part in every other launch only: one of them still
+  // finishing (or waking) from a limit-8 launch must never be counted by,
+  // or run a body of, the limit-2 launch after it.
+  WorkPool pool(8);
+  for (int round = 0; round < 1000; ++round) {
+    expect_exact_cover(pool, 16, round % 2 == 0 ? 2u : 8u);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(WorkPool, TeardownJoinsSpinningAndParkedWorkers) {
+  for (unsigned limit : {2u, 4u}) {
+    {
+      WorkPool pool(limit);
+      expect_exact_cover(pool, 32, limit);
+    }  // destroyed while the helpers may still be spinning
+    {
+      WorkPool pool(limit);
+      expect_exact_cover(pool, 32, limit);
+      std::this_thread::sleep_for(kParkGap);
+    }  // destroyed with the helpers parked
+  }
+}
+
+TEST(WorkPool, OversubscribedOrderedLaunchesComplete) {
+  // More workers than most machines have cores: the branch that parks at
+  // once instead of spinning.  Each item waits on its predecessor, the
+  // adjacent-sync shape run_ordered's real threads exist for.
+  WorkPool pool(16);
+  constexpr std::size_t kN = 48;
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::atomic<int>> done(kN);
+    for (auto& d : done) d.store(0);
+    pool.run_ordered(kN, 16, [&](unsigned, std::size_t i) {
+      if (i > 0) {
+        while (done[i - 1].load() == 0) std::this_thread::yield();
+      }
+      done[i].fetch_add(1);
+    });
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(done[i].load(), 1) << "round " << round << " index " << i;
+    }
+  }
 }
 
 TEST(WorkPool, ParallelTunerMatchesSerialSweep) {

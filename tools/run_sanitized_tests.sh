@@ -22,6 +22,9 @@
 #            (run_sharded spill, first-touch fills) and the out-of-core
 #            streaming engine through the serving daemon.
 #
+# Both passes run even when the first one fails; the script exits nonzero
+# if either did.
+#
 # Usage: tools/run_sanitized_tests.sh [ctest-args...]
 #        YASPMV_SANITIZE=address|thread limits the run to one pass.
 set -eu
@@ -60,7 +63,21 @@ run_tsan() {
 }
 
 case "$mode" in
-  address) run_asan "$@" ;;
-  thread)  run_tsan "$@" ;;
-  *)       run_asan "$@"; run_tsan "$@" ;;
+  address) passes=asan ;;
+  thread)  passes=tsan ;;
+  *)       passes="asan tsan" ;;
 esac
+# Each pass runs in its own subshell with errexit, outside any `||` list
+# (where sh would ignore errexit), so a failure ends only that pass.
+status=0
+for pass in $passes; do
+  set +e
+  (set -e; "run_$pass" "$@")
+  rc=$?
+  set -e
+  if [ "$rc" -ne 0 ]; then
+    echo "run_sanitized_tests: $pass pass failed (exit $rc)" >&2
+    status=$rc
+  fi
+done
+exit "$status"
