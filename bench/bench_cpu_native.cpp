@@ -19,12 +19,11 @@
 // `verify_overhead_geomean` across the suite (tools/bench_compare gates
 // overhead growth the same way it gates GFLOPS regressions).  A
 // `thread_scaling` series per matrix (--scaling=0 skips it) times the
-// legacy serial-carry-fold path against the speculative parallel fix-up
-// across a thread ladder {1,2,4,8,16,hw}, recording GFLOPS, speedup and
-// parallel efficiency per count plus `speedup_16t` /
-// `parallel_efficiency_16t`, and a suite-level
-// `segsum_speedup_16t_geomean` over the long-segment matrices
-// (mean nnz/row >= 16).  A `specialized_vs_generic` series per matrix
+// speculative segmented sum across a thread ladder {1,2,4,8,16,hw},
+// recording GFLOPS and parallel efficiency per count plus
+// `parallel_efficiency_16t`.  (Until the serial carry fold was deleted the
+// series also timed it as a baseline; BENCH_cpu.json keeps those fields as
+// its final record.)  A `specialized_vs_generic` series per matrix
 // times the compile-time specialized grid kernel (cpu/kernels_grid.hpp)
 // against the pinned-generic interpreter on the same small-block format
 // (bw*bh <= 4, raw stream) at 1 and 16 requested threads, recording GFLOPS
@@ -74,7 +73,7 @@ int main(int argc, char** argv) {
             << " thread(s), " << reps << " reps, simd="
             << cpu::simd::to_string(cpu::simd::active()) << ") ===\n\n";
   TablePrinter t({"Name", "NNZ", "CSR", "1x1 raw", "1x1 short", "1x1 delta",
-                  "ver 1T", "blocked", "SpMM k=8", "seg x16T", "spec x1T",
+                  "ver 1T", "blocked", "SpMM k=8", "spec x1T",
                   "tune ser(s)", "tune pool(s)"});
 
   // Thread counts for the segmented-sum scaling series: the fixed ladder
@@ -108,11 +107,6 @@ int main(int argc, char** argv) {
 
   double overhead_log_sum = 0.0;  // geomean of verified/raw time ratios
   int overhead_count = 0;
-  // Geomean of the 16-thread speculative-over-serial-fold speedup across
-  // the long-segment matrices (mean nnz/row >= 16) — the shapes whose
-  // carry chains the parallel fix-up is supposed to shorten.
-  double segsum_log_sum = 0.0;
-  int segsum_count = 0;
   // Geomeans of the specialized-over-generic apply speedup on the
   // small-block grid configs, at 1 and 16 requested threads.
   double spec_log_1t = 0.0, spec_log_16t = 0.0;
@@ -220,11 +214,9 @@ int main(int argc, char** argv) {
     {
       cpu::CpuSpmv spec1(m_sg, 1, core::ColStream::kRaw);
       cpu::CpuSpmv gen1(m_sg, 1, core::ColStream::kRaw,
-                        cpu::default_segsum_mode(),
                         cpu::grid::KernelDispatch::kGeneric);
       cpu::CpuSpmv spec16(m_sg, 16, core::ColStream::kRaw);
       cpu::CpuSpmv gen16(m_sg, 16, core::ColStream::kRaw,
-                         cpu::default_segsum_mode(),
                          cpu::grid::KernelDispatch::kGeneric);
       sg_kernel = spec1.kernel_id();
       sg_spec_1t = flops / (time_ms([&] { spec1.spmv(x, y); }) * 1e6);
@@ -241,50 +233,22 @@ int main(int argc, char** argv) {
       ++spec_count;
     }
 
-    // Segmented-sum thread-scaling series: the pre-change execution
-    // (serial carry fold + AVX2 dispatch, exactly the bits the legacy path
-    // produced) against the speculative fix-up at its default dispatch
-    // level, across the thread ladder.  Engines are rebuilt per thread
-    // count because the chunk decomposition derives from it.
-    std::vector<double> sc_serial_gf, sc_spec_gf, sc_speedup, sc_eff;
-    double speedup_16t = 0.0, eff_16t = 0.0;
+    // Segmented-sum thread-scaling series across the thread ladder.
+    // Engines are rebuilt per thread count because the chunk decomposition
+    // derives from it.
+    std::vector<double> sc_spec_gf, sc_eff;
+    double eff_16t = 0.0;
     if (do_scaling) {
-      const auto legacy_level = cpu::simd::cpu_has_avx2()
-                                    ? cpu::simd::Level::kAvx2
-                                    : cpu::simd::Level::kPortable;
       for (const unsigned T : scale_threads) {
-        double t_ser, t_spec;
-        {
-          cpu::CpuSpmv e(m_scalar, T, core::ColStream::kRaw,
-                         cpu::SegSumMode::kSerialFold);
-          const auto saved = cpu::simd::active();
-          cpu::simd::set_level(legacy_level);
-          t_ser = time_ms([&] { e.spmv(x, y); });
-          cpu::simd::set_level(saved);
-        }
-        {
-          cpu::CpuSpmv e(m_scalar, T, core::ColStream::kRaw,
-                         cpu::SegSumMode::kSpeculative);
-          t_spec = time_ms([&] { e.spmv(x, y); });
-        }
-        sc_serial_gf.push_back(flops / (t_ser * 1e6));
+        cpu::CpuSpmv eng(m_scalar, T, core::ColStream::kRaw);
+        const double t_spec = time_ms([&] { eng.spmv(x, y); });
         sc_spec_gf.push_back(flops / (t_spec * 1e6));
-        sc_speedup.push_back(t_spec > 0 ? t_ser / t_spec : 0.0);
         sc_eff.push_back(sc_spec_gf.front() > 0
                              ? sc_spec_gf.back() /
                                    (sc_spec_gf.front() *
                                     static_cast<double>(T))
                              : 0.0);
-        if (T == 16) {
-          speedup_16t = sc_speedup.back();
-          eff_16t = sc_eff.back();
-        }
-      }
-      const double nnz_per_row =
-          static_cast<double>(A.nnz()) / std::max<index_t>(1, A.rows);
-      if (nnz_per_row >= 16.0 && speedup_16t > 0) {
-        segsum_log_sum += std::log(speedup_16t);
-        ++segsum_count;
+        if (T == 16) eff_16t = sc_eff.back();
       }
     }
 
@@ -298,10 +262,9 @@ int main(int argc, char** argv) {
     if (do_scaling) {
       double t_1shard = 0.0;
       for (const unsigned S : shard_counts) {
-        cpu::CpuSpmv e(m_scalar, shard_threads, core::ColStream::kRaw,
-                       cpu::SegSumMode::kSpeculative,
-                       cpu::grid::KernelDispatch::kAuto, S);
-        const double t_s = time_ms([&] { e.spmv(x, y); });
+        cpu::CpuSpmv eng(m_scalar, shard_threads, core::ColStream::kRaw,
+                         cpu::grid::KernelDispatch::kAuto, S);
+        const double t_s = time_ms([&] { eng.spmv(x, y); });
         if (S == 1) t_1shard = t_s;
         sh_gf.push_back(flops / (t_s * 1e6));
         sh_speedup.push_back(t_s > 0 ? t_1shard / t_s : 0.0);
@@ -332,7 +295,6 @@ int main(int argc, char** argv) {
                no_compressed ? "-" : TablePrinter::fmt(gf_delta, 2),
                TablePrinter::fmt(verify_overhead * 100.0, 1) + "%",
                TablePrinter::fmt(gf_blk, 2), TablePrinter::fmt(gf_spmm, 2),
-               do_scaling ? TablePrinter::fmt(speedup_16t, 2) + "x" : "-",
                TablePrinter::fmt(sg_speedup_1t, 2) + "x",
                do_tune ? TablePrinter::fmt(tune_serial, 2) : "-",
                do_tune ? TablePrinter::fmt(tune_pooled, 2) : "-"});
@@ -410,9 +372,6 @@ int main(int argc, char** argv) {
     w.key("speedup_16t").value(sg_speedup_16t);
     w.end_object();
     if (do_scaling) {
-      // serial_fold = the pre-change path (serial carry fold, AVX2);
-      // speculative = the parallel fix-up at the default dispatch level.
-      // speedup[i] = serial_fold time / speculative time at threads[i];
       // parallel_efficiency[i] = speculative scaling vs perfect linear.
       w.key("thread_scaling").begin_object();
       w.key("threads").begin_array();
@@ -426,11 +385,8 @@ int main(int argc, char** argv) {
         for (const double d : v) w.value(d);
         w.end_array();
       };
-      num_array("serial_fold_gflops", sc_serial_gf);
       num_array("speculative_gflops", sc_spec_gf);
-      num_array("speedup", sc_speedup);
       num_array("parallel_efficiency", sc_eff);
-      w.key("speedup_16t").value(speedup_16t);
       w.key("parallel_efficiency_16t").value(eff_16t);
       w.end_object();
     }
@@ -464,15 +420,6 @@ int main(int argc, char** argv) {
                 1.0
           : 0.0;
   w.key("verify_overhead_geomean").value(overhead_geomean);
-  const double segsum_geomean =
-      segsum_count > 0
-          ? std::exp(segsum_log_sum / static_cast<double>(segsum_count))
-          : 0.0;
-  if (do_scaling) {
-    w.key("segsum_speedup_16t_geomean").value(segsum_geomean);
-    w.key("segsum_long_segment_count")
-        .value(static_cast<long long>(segsum_count));
-  }
   const double spec_geo_1t =
       spec_count > 0
           ? std::exp(spec_log_1t / static_cast<double>(spec_count))
@@ -561,18 +508,15 @@ int main(int argc, char** argv) {
   t.print();
   std::cout << "\n(GFLOPS columns; SpMM counts 2*nnz*k flops; 'ver 1T' is\n"
                " the single-thread ABFT checksum-verified apply overhead;\n"
-               " 'seg x16T' is the 16-thread speculative-over-serial-fold\n"
-               " segmented-sum speedup; 'spec x1T' is the single-thread\n"
-               " specialized-grid-over-generic apply speedup)\n"
+               " 'spec x1T' is the single-thread specialized-grid-over-\n"
+               " generic apply speedup)\n"
             << "verified-apply overhead geomean (1 thread): "
             << overhead_geomean * 100.0 << "%\n"
             << "specialized-kernel speedup geomean (small-block, " << spec_count
             << " matrices): " << spec_geo_1t << "x at 1T, " << spec_geo_16t
             << "x at 16T\n";
   if (do_scaling) {
-    std::cout << "segmented-sum 16T speedup geomean (long-segment suite, "
-              << segsum_count << " matrices): " << segsum_geomean << "x\n"
-              << "2-shard speedup geomean at " << shard_threads
+    std::cout << "2-shard speedup geomean at " << shard_threads
               << "T (placement-only on " << default_shards()
               << " NUMA domain(s)): " << shard_geomean << "x\n";
   }

@@ -17,19 +17,19 @@
 // fixed-width dense dots of simd.hpp (simd::dot_dense_fixed), and no
 // runtime dims anywhere in the hot loop.  The dispatch layer in
 // cpu/spmv.hpp routes an exact (bw, bh, stream) match here and falls back
-// to the generic kernel otherwise — configs outside the grid and
-// SegSumMode::kSerialFold keep the generic path.
+// to the generic kernel otherwise — configs outside the grid and engines
+// pinned to KernelDispatch::kGeneric keep the generic path.
 //
 // Bitwise-parity contract: every kernel in the grid mirrors the generic
 // `CpuSpmv::process_chunk` *operation for operation* — same accumulation
 // order, same short-segment heuristic on the scalar path, same tile
 // splits, same dispatched SIMD primitives wherever the levels'
 // expressions differ (see dot_dense_fixed's W=8 note).  At a fixed
-// (threads, simd level, segsum mode) a specialized kernel produces bits
-// identical to the generic one; kernel_grid_test sweeps every
-// instantiation to enforce this.  Do not "optimise" a kernel body here in
-// a way that reassociates floating-point work — that forks the
-// determinism contract this grid extends.
+// (threads, simd level) a specialized kernel produces bits identical to
+// the generic one; kernel_grid_test sweeps every instantiation to enforce
+// this.  Do not "optimise" a kernel body here in a way that reassociates
+// floating-point work — that forks the determinism contract this grid
+// extends.
 //
 // The grid is also the staging point for later emitting the same
 // instantiations through codegen/opencl: each GridEntry's id names the
@@ -45,7 +45,6 @@
 #include <cstdint>
 
 #include "yaspmv/core/bccoo.hpp"
-#include "yaspmv/cpu/segfix.hpp"
 #include "yaspmv/cpu/simd.hpp"
 
 namespace yaspmv::cpu::grid {
@@ -315,9 +314,7 @@ inline const GridEntry* find(int bw, int bh, core::ColStream cs) {
 /// config, without building one.  Pure function of its arguments — the
 /// tuner and serve use it to record/attribute plans, and plan replay
 /// depends on it matching the engine's actual dispatch.
-inline const char* dispatch_kernel_id(int bw, int bh, core::ColStream cs,
-                                      SegSumMode mode) {
-  if (mode == SegSumMode::kSerialFold) return "generic";
+inline const char* dispatch_kernel_id(int bw, int bh, core::ColStream cs) {
   const GridEntry* e = find(bw, bh, cs);
   return e ? e->id : "generic";
 }
@@ -343,7 +340,7 @@ using SpmmKernelFn = void (*)(const SpmmCtx&, std::size_t c, const real_t* X,
 
 /// CpuSpmm::fused_scalar's chunk body with the column stream burned in —
 /// same accumulation order, same panel assignment, bitwise identical to the
-/// generic fused pass at a fixed (threads, simd level, segsum mode).
+/// generic fused pass at a fixed (threads, simd level).
 template <core::ColStream CS>
 void run_spmm_chunk(const SpmmCtx& ctx, std::size_t c, const real_t* X,
                     real_t* Y, std::size_t kz, std::size_t colsz,

@@ -3,8 +3,7 @@
 // core::ResilientEngine but none of its simulated machinery.
 //
 //   rung 0  the plan's kernel: CpuSpmv with KernelDispatch::kAuto (the
-//           specialized grid instantiation when the format has one) in
-//           speculative segmented-sum mode
+//           specialized grid instantiation when the format has one)
 //   rung 1  the generic kernel, pinned (KernelDispatch::kGeneric), over the
 //           same format
 //   rung 2  spmv_csr_parallel on a CSR copy — no carries, no fix-up, no
@@ -138,10 +137,9 @@ class SpmvLadder {
   CpuSpmv& engine(int step) {
     auto& e = engines_[step];
     if (!e) {
-      e = std::make_unique<CpuSpmv>(
-          format_, threads_, cs_, SegSumMode::kSpeculative,
-          step == 0 ? grid::KernelDispatch::kAuto
-                    : grid::KernelDispatch::kGeneric);
+      e = std::make_unique<CpuSpmv>(format_, threads_, cs_,
+                                    step == 0 ? grid::KernelDispatch::kAuto
+                                              : grid::KernelDispatch::kGeneric);
       e->set_fault_injector(fault_);
     }
     return *e;

@@ -5,10 +5,10 @@
 // The chunk pass of the native backend computes, per chunk c, the sum of
 // its *first* open segment (`firsts[c]`) and the running sum of its last
 // open segment (`carries[c]`), speculatively assuming a zero incoming
-// carry.  The legacy repair was a serial left fold over all chunks — an
-// O(nchunks) sequential tail executed after every parallel apply, which is
-// the Amdahl term that capped many-thread scaling.  This header replaces it
-// with a three-pass fix-up whose only serial step is O(threads):
+// carry.  The paper repairs these with a serial adjacent-synchronization
+// chain, an O(nchunks) sequential tail after every parallel apply.  This
+// header repairs them with a three-pass fix-up whose only serial step is
+// O(threads):
 //
 //   A. per-group fold     groups = min(threads, nchunks) contiguous chunk
 //                         ranges; each group left-folds its chunks into a
@@ -29,54 +29,19 @@
 // Determinism: every FP operation's operand pairing is a pure function of
 // (nchunks, lanes, threads) — the group bounds, the tree shape, and the
 // in-group fold order do not depend on which worker ran what or when.  So
-// ordered and unordered scheduling produce bitwise-identical results, and a
-// fixed (threads, level) is bitwise reproducible run-to-run.  The tree
-// association differs from the legacy serial fold's (FP addition is not
-// associative), so SegSumMode::kSerialFold is kept to reproduce the
-// pre-speculative bits exactly — benches use it as the baseline arm.
+// the unordered claims produce the bits an in-order run would, and a fixed
+// (threads, level) is bitwise reproducible run-to-run.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstddef>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "yaspmv/util/common.hpp"
 #include "yaspmv/util/thread_pool.hpp"
 
 namespace yaspmv::cpu {
-
-/// How the segmented sum schedules its chunk pass and repairs carries.
-enum class SegSumMode : int {
-  kSpeculative = 0,         ///< unordered range claims + parallel tree fix-up
-  kSpeculativeOrdered = 1,  ///< ordered ticket claims + the same fix-up
-                            ///  (bitwise equal to kSpeculative)
-  kSerialFold = 2,          ///< ordered claims + legacy serial carry fold
-                            ///  (pre-speculative bits, bench baseline)
-};
-
-inline const char* to_string(SegSumMode m) {
-  switch (m) {
-    case SegSumMode::kSerialFold: return "serial";
-    case SegSumMode::kSpeculativeOrdered: return "ordered";
-    default: return "speculative";
-  }
-}
-
-/// Process-wide default, overridable via YASPMV_SEGSUM=speculative|ordered|
-/// serial (mirrors the YASPMV_SIMD escape hatch: one knob to reproduce the
-/// legacy execution on a machine where the new path misbehaves).
-inline SegSumMode default_segsum_mode() {
-  if (const char* env = std::getenv("YASPMV_SEGSUM")) {
-    if (std::strcmp(env, "serial") == 0) return SegSumMode::kSerialFold;
-    if (std::strcmp(env, "ordered") == 0) {
-      return SegSumMode::kSpeculativeOrdered;
-    }
-  }
-  return SegSumMode::kSpeculative;
-}
 
 /// Scratch for speculative_fixup, held by the engine so the hot apply path
 /// allocates nothing after the first call.  `group` holds npow2 lane panels
@@ -107,8 +72,6 @@ inline constexpr std::size_t kParallelFixupGrain = 4096;
 ///   apply(c, inc)     writes chunk c's first-segment output from the
 ///                     incoming carry panel `inc` (caller owns the output
 ///                     layout: strided SpMM panels, semiring y, ...)
-///   unordered         scheduling mode for passes A and C (results are
-///                     identical either way; see the file comment)
 ///   shard_chunk_start optional shard-affinity hint: nshards + 1 monotone
 ///                     chunk boundaries (CpuSpmv's shard grid).  Passes A
 ///                     and C then claim groups shard-first via run_sharded
@@ -118,10 +81,10 @@ inline constexpr std::size_t kParallelFixupGrain = 4096;
 ///                     stay bitwise identical with or without the hint.
 template <class AccFn, class ApplyFn>
 void speculative_fixup(std::size_t nchunks, std::size_t lanes,
-                       unsigned threads, bool unordered,
-                       const index_t* first_seg, const real_t* firsts,
-                       const real_t* carries, real_t zero, AccFn&& acc,
-                       ApplyFn&& apply, FixupScratch& s,
+                       unsigned threads, const index_t* first_seg,
+                       const real_t* firsts, const real_t* carries,
+                       real_t zero, AccFn&& acc, ApplyFn&& apply,
+                       FixupScratch& s,
                        const std::size_t* shard_chunk_start = nullptr,
                        unsigned nshards = 1) {
   (void)firsts;  // applied by the caller's `apply`; kept for symmetry
@@ -142,7 +105,7 @@ void speculative_fixup(std::size_t nchunks, std::size_t lanes,
   // chunk.  Derived from the shard grid alone, like everything else here.
   std::size_t group_shard[kMaxShards + 1];
   const bool sharded = shard_chunk_start != nullptr && nshards > 1 &&
-                       nshards <= kMaxShards && parallel && unordered;
+                       nshards <= kMaxShards && parallel;
   if (sharded) {
     group_shard[0] = 0;
     group_shard[nshards] = ngroups;
@@ -157,10 +120,8 @@ void speculative_fixup(std::size_t nchunks, std::size_t lanes,
       for (std::size_t g = 0; g < ngroups; ++g) body(0u, g);
     } else if (sharded) {
       parallel_for_sharded(ngroups, group_shard, nshards, threads, body);
-    } else if (unordered) {
-      parallel_for_unordered(ngroups, threads, body);
     } else {
-      parallel_for_ordered(ngroups, threads, body);
+      parallel_for_unordered(ngroups, threads, body);
     }
   };
 

@@ -53,14 +53,13 @@ struct PlusTimes {
 /// y = A (x) under the semiring, parallel over block chunks with the same
 /// carry-resolution structure as CpuSpmv (the semiring `add` must be
 /// associative for the split to be valid; all of the above are): unordered
-/// chunk claims plus the speculative fix-up of segfix.hpp by default, with
-/// the same kSerialFold escape hatch.  For the exact-absorbing semirings
-/// (min/max/or) the tree combine is not merely deterministic but equal to
-/// the serial fold — add(zero(), v) == v holds exactly.
+/// chunk claims plus the speculative fix-up of segfix.hpp.  For the
+/// exact-absorbing semirings (min/max/or) the tree combine is not merely
+/// deterministic but equal to a serial left fold — add(zero(), v) == v
+/// holds exactly.
 template <class Semiring>
 void spmv_semiring(const core::Bccoo& f, std::span<const real_t> x,
-                   std::span<real_t> y, unsigned threads = 1,
-                   SegSumMode mode = default_segsum_mode()) {
+                   std::span<real_t> y, unsigned threads = 1) {
   require(x.size() == static_cast<std::size_t>(f.cols) &&
               y.size() == static_cast<std::size_t>(f.rows),
           "spmv_semiring: vector size mismatch");
@@ -87,8 +86,7 @@ void spmv_semiring(const core::Bccoo& f, std::span<const real_t> x,
         static_cast<index_t>(f.bit_flags.count_zeros_before(starts[c]));
   }
 
-  const bool unordered = mode == SegSumMode::kSpeculative;
-  const auto chunk_body = [&](unsigned, std::size_t c) {
+  parallel_for_unordered(nchunks, threads, [&](unsigned, std::size_t c) {
     real_t acc = Semiring::zero();
     index_t seg = first_seg[c];
     bool first_stop = true;
@@ -109,38 +107,19 @@ void spmv_semiring(const core::Bccoo& f, std::span<const real_t> x,
       }
     }
     carries[c] = acc;
-  };
-  if (unordered) {
-    parallel_for_unordered(nchunks, threads, chunk_body);
-  } else {
-    parallel_for_ordered(nchunks, threads, chunk_body);
-  }
+  });
 
-  if (mode == SegSumMode::kSerialFold) {
-    real_t carry = Semiring::zero();
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      if (first_seg[c + 1] > first_seg[c]) {
+  FixupScratch scratch;
+  speculative_fixup(
+      nchunks, 1, threads, first_seg.data(), firsts.data(), carries.data(),
+      Semiring::zero(),
+      [](real_t* dst, const real_t* src) { *dst = Semiring::add(*dst, *src); },
+      [&](std::size_t c, const real_t* inc) {
         const auto row = static_cast<std::size_t>(
             f.seg_to_block_row[static_cast<std::size_t>(first_seg[c])]);
-        y[row] = Semiring::add(y[row], Semiring::add(carry, firsts[c]));
-        carry = carries[c];
-      } else {
-        carry = Semiring::add(carry, carries[c]);
-      }
-    }
-  } else {
-    FixupScratch scratch;
-    speculative_fixup(
-        nchunks, 1, threads, unordered, first_seg.data(), firsts.data(),
-        carries.data(), Semiring::zero(),
-        [](real_t* dst, const real_t* src) { *dst = Semiring::add(*dst, *src); },
-        [&](std::size_t c, const real_t* inc) {
-          const auto row = static_cast<std::size_t>(
-              f.seg_to_block_row[static_cast<std::size_t>(first_seg[c])]);
-          y[row] = Semiring::add(y[row], Semiring::add(*inc, firsts[c]));
-        },
-        scratch);
-  }
+        y[row] = Semiring::add(y[row], Semiring::add(*inc, firsts[c]));
+      },
+      scratch);
 }
 
 }  // namespace yaspmv::cpu

@@ -12,11 +12,9 @@
 //     assuming a zero incoming carry,
 //   * the speculative sums are repaired by the carry-chain-free fix-up of
 //     cpu/segfix.hpp (per-group folds, a grid-shaped Blelloch scan, and a
-//     parallel apply), replacing both the paper's adjacent-synchronization
-//     chain and this backend's former serial O(nchunks) carry fold.  The
-//     legacy fold survives as SegSumMode::kSerialFold (bench baseline /
-//     escape hatch); the default mode also claims chunks *unordered* so no
-//     global in-order ticket is contended.
+//     parallel apply) in place of the paper's adjacent-synchronization
+//     chain; chunks are claimed *unordered*, so no global in-order ticket
+//     is contended.
 //
 // Execution substrate: chunks run on the shared persistent WorkPool
 // (util/thread_pool.hpp) — no thread spawn/join per call — and the
@@ -42,7 +40,7 @@
 // shared lane/reduction scheme, and the fix-up's combine tree is shaped by
 // the chunk grid alone (see segfix.hpp), so for a fixed thread count and
 // dispatch level results are bitwise reproducible run-to-run — and
-// identical whether chunks were claimed in order or not.
+// identical to an in-order run of the same chunks.
 //
 // Compressed column streams (Sections 2.2 and 4): the executor reads the
 // format's materialized int16-delta or u16 stream instead of the 4-byte
@@ -80,31 +78,26 @@ class CpuSpmv {
  public:
   /// `threads == 0` uses the hardware concurrency.  `cs` selects the column
   /// stream the hot loop reads (kAuto = smallest materialized one; a request
-  /// the format cannot serve degrades to kRaw).  `mode` picks the segmented
-  /// sum's scheduling/fix-up strategy (segfix.hpp); the default speculative
-  /// mode is the fast path, kSerialFold reproduces the legacy bits.  `kd`
-  /// controls kernel dispatch: kAuto routes an exact (block_w, block_h,
-  /// stream) match to its specialized grid instantiation
-  /// (cpu/kernels_grid.hpp) — bitwise identical to the generic kernel at a
-  /// fixed (threads, simd level, segsum mode) — while kGeneric pins the
-  /// generic kernel (parity reference / bench baseline).  Out-of-grid
-  /// configs and kSerialFold always run generic.  `shards` partitions the
-  /// chunk grid into contiguous locality domains (NUMA shard groups): the
-  /// default 1 keeps today's single-domain execution, 0 probes the machine
-  /// (default_shards(): libnuma node count, YASPMV_NUMA override), and an
-  /// explicit N pins the domain count.  Sharding is scheduling + placement
-  /// only — the chunk grid, fix-up tree and combine order are untouched, so
-  /// any shard count is bitwise identical to shards == 1 at a fixed
-  /// (threads, level, segsum mode).
+  /// the format cannot serve degrades to kRaw).  `kd` controls kernel
+  /// dispatch: kAuto routes an exact (block_w, block_h, stream) match to its
+  /// specialized grid instantiation (cpu/kernels_grid.hpp) — bitwise
+  /// identical to the generic kernel at a fixed (threads, simd level) —
+  /// while kGeneric pins the generic kernel (parity reference / bench
+  /// baseline).  Out-of-grid configs always run generic.  `shards`
+  /// partitions the chunk grid into contiguous locality domains (NUMA shard
+  /// groups): the default 1 keeps today's single-domain execution, 0 probes
+  /// the machine (default_shards(): libnuma node count, YASPMV_NUMA
+  /// override), and an explicit N pins the domain count.  Sharding is
+  /// scheduling + placement only — the chunk grid, fix-up tree and combine
+  /// order are untouched, so any shard count is bitwise identical to
+  /// shards == 1 at a fixed (threads, level).
   explicit CpuSpmv(std::shared_ptr<const core::Bccoo> m, unsigned threads = 0,
                    core::ColStream cs = core::ColStream::kAuto,
-                   SegSumMode mode = default_segsum_mode(),
                    grid::KernelDispatch kd = grid::KernelDispatch::kAuto,
                    unsigned shards = 1)
       : fmt_(std::move(m)),
         threads_(threads == 0 ? default_workers() : threads),
         cs_(fmt_->resolve_col_stream(cs)),
-        mode_(mode),
         shards_(std::min(shards == 0 ? default_shards() : shards,
                          kMaxShards)) {
     const core::Bccoo& f = *fmt_;
@@ -112,8 +105,7 @@ class CpuSpmv {
             "CpuSpmv[" + config_name() + "]: block height " +
                 std::to_string(f.cfg.block_h) +
                 " outside the accepted range [1, 8]");
-    if (kd == grid::KernelDispatch::kAuto &&
-        mode_ != SegSumMode::kSerialFold) {
+    if (kd == grid::KernelDispatch::kAuto) {
       if (const grid::GridEntry* e =
               grid::find(static_cast<int>(f.cfg.block_w),
                          static_cast<int>(f.cfg.block_h), cs_)) {
@@ -251,8 +243,6 @@ class CpuSpmv {
   }
   /// The resolved column stream the hot loop actually reads.
   core::ColStream col_stream() const { return cs_; }
-  /// The segmented-sum scheduling/fix-up mode this engine runs.
-  SegSumMode segsum_mode() const { return mode_; }
   /// Stable id of the chunk kernel this engine dispatches to: a grid id
   /// like "grid/w2h2/short" when a specialized instantiation matched,
   /// "generic" otherwise.  Recorded by the tuner / plan cache and reported
@@ -263,7 +253,7 @@ class CpuSpmv {
 
   /// Fault-injection hook (tests/chaos tooling): when set, the armed
   /// kFlipPartial plan can flip one bit of one per-chunk partial sum
-  /// between the parallel pass and the serial fix-up — one null check per
+  /// between the parallel pass and the fix-up — one null check per
   /// apply on the fault-free path.
   void set_fault_injector(sim::FaultInjector* injector) {
     injector_ = injector;
@@ -304,7 +294,6 @@ class CpuSpmv {
 
     const real_t* const xd = x.data();
     const std::size_t nchunks = chunk_start_.size() - 1;
-    const bool unordered = mode_ == SegSumMode::kSpeculative;
     // Specialized dispatch resolved once at construction; the branch here
     // is once per chunk, never inside a block loop.
     const grid::ChunkCtx gctx{fmt_.get(),          chunk_start_.data(),
@@ -319,17 +308,15 @@ class CpuSpmv {
         process_chunk(c, h, bw, xd, out);
       }
     };
-    if (shards_ > 1 && unordered) {
+    if (shards_ > 1) {
       // Shard-affine scheduling: each worker group claims only its domain's
       // chunk range (spilling to other domains once its own drains), so the
       // panels and res_ pages it first-touched stay local.  The chunk grid
       // is the same one the unsharded path walks — bitwise identical.
       parallel_for_sharded(nchunks, shard_chunk_start_.data(), shards_,
                            threads_, chunk_body);
-    } else if (unordered) {
-      parallel_for_unordered(nchunks, threads_, chunk_body);
     } else {
-      parallel_for_ordered(nchunks, threads_, chunk_body);
+      parallel_for_unordered(nchunks, threads_, chunk_body);
     }
     if (injector_) {
       injector_->flip_partial(
@@ -340,40 +327,18 @@ class CpuSpmv {
     // first stop closes a segment no worker assigned (they defer it to
     // firsts_), and the segment -> block-row map is injective, so plain
     // assignment is complete — no prior clear needed.
-    if (mode_ == SegSumMode::kSerialFold) {
-      // Legacy serial carry fold (the adjacent-synchronization chain,
-      // folded): the O(nchunks) sequential tail the speculative path
-      // removes, kept bit-for-bit as baseline and escape hatch.
-      real_t carry[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-      for (std::size_t c = 0; c < nchunks; ++c) {
-        const index_t first = chunk_first_seg_[c];
-        const index_t next = chunk_first_seg_[c + 1];
-        if (next > first) {
-          const auto sbrow = static_cast<std::size_t>(
-              f.seg_to_block_row[static_cast<std::size_t>(first)]);
-          for (std::size_t k = 0; k < h; ++k) {
-            out[sbrow * h + k] = carry[k] + firsts_[c * h + k];
-          }
-          for (std::size_t k = 0; k < h; ++k) carry[k] = carries_[c * h + k];
-        } else {
-          for (std::size_t k = 0; k < h; ++k) carry[k] += carries_[c * h + k];
-        }
-      }
-    } else {
-      const simd::AccAddFn aadd = simd::acc_add();
-      const simd::CarryApplyFn capply = simd::carry_apply();
-      speculative_fixup(
-          nchunks, h, threads_, unordered, chunk_first_seg_.data(),
-          firsts_.data(), carries_.data(), 0.0,
-          [aadd, h](real_t* dst, const real_t* src) { aadd(dst, src, h); },
-          [&](std::size_t c, const real_t* inc) {
-            const auto sbrow = static_cast<std::size_t>(
-                f.seg_to_block_row[static_cast<std::size_t>(
-                    chunk_first_seg_[c])]);
-            capply(out + sbrow * h, inc, firsts_.data() + c * h, h);
-          },
-          fix_, shards_ > 1 ? shard_chunk_start_.data() : nullptr, shards_);
-    }
+    const simd::AccAddFn aadd = simd::acc_add();
+    const simd::CarryApplyFn capply = simd::carry_apply();
+    speculative_fixup(
+        nchunks, h, threads_, chunk_first_seg_.data(), firsts_.data(),
+        carries_.data(), 0.0,
+        [aadd, h](real_t* dst, const real_t* src) { aadd(dst, src, h); },
+        [&](std::size_t c, const real_t* inc) {
+          const auto sbrow = static_cast<std::size_t>(f.seg_to_block_row[
+              static_cast<std::size_t>(chunk_first_seg_[c])]);
+          capply(out + sbrow * h, inc, firsts_.data() + c * h, h);
+        },
+        fix_, shards_ > 1 ? shard_chunk_start_.data() : nullptr, shards_);
     if (direct_y_) return;  // workers already produced y
 
     // Combine y from the (slice-stacked) result buffer — the CPU analog of
@@ -404,16 +369,14 @@ class CpuSpmv {
         combine_rows(static_cast<index_t>(rc * rowsz / rchunks),
                      static_cast<index_t>((rc + 1) * rowsz / rchunks));
       };
-      if (shards_ > 1 && unordered) {
+      if (shards_ > 1) {
         // Shard-local combine: each domain folds the rows whose res_ pages
         // it placed, then the disjoint row ranges ARE the cross-shard
         // merge — no second reduction and no reassociation.
         parallel_for_sharded(rchunks, combine_shard_start_.data(), shards_,
                              threads_, combine_body);
-      } else if (unordered) {
-        parallel_for_unordered(rchunks, threads_, combine_body);
       } else {
-        parallel_for_ordered(rchunks, threads_, combine_body);
+        parallel_for_unordered(rchunks, threads_, combine_body);
       }
     } else {
       combine_rows(0, f.rows);
@@ -631,7 +594,6 @@ class CpuSpmv {
   std::shared_ptr<const core::Bccoo> fmt_;
   unsigned threads_;
   core::ColStream cs_;
-  SegSumMode mode_;
   grid::ChunkKernelFn grid_fn_ = nullptr;  ///< specialized kernel, or null
   const char* kernel_id_ = "generic";      ///< stable dispatch id
   FixupScratch fix_;  ///< speculative fix-up scratch (segfix.hpp)
@@ -671,21 +633,17 @@ class CpuSpmm {
  public:
   explicit CpuSpmm(std::shared_ptr<const core::Bccoo> m, unsigned threads = 0,
                    core::ColStream cs = core::ColStream::kAuto,
-                   SegSumMode mode = default_segsum_mode(),
                    grid::KernelDispatch kd = grid::KernelDispatch::kAuto)
       : fmt_(std::move(m)),
-        eng_(fmt_, threads, cs, mode, kd),
+        eng_(fmt_, threads, cs, kd),
         threads_(threads == 0 ? default_workers() : threads),
-        cs_(fmt_->resolve_col_stream(cs)),
-        mode_(mode) {
+        cs_(fmt_->resolve_col_stream(cs)) {
     const auto& f = *fmt_;
     if (f.cfg.block_w == 1 && f.cfg.block_h == 1 && f.cfg.slices == 1) {
       // The fused panel pass reuses the specialization grid: its block dims
       // are 1x1 by construction, so only the column stream is burned in.
-      // Same fallback rules as CpuSpmv (kGeneric / kSerialFold stay
-      // generic).
-      if (kd == grid::KernelDispatch::kAuto &&
-          mode_ != SegSumMode::kSerialFold) {
+      // Same fallback rule as CpuSpmv (kGeneric stays generic).
+      if (kd == grid::KernelDispatch::kAuto) {
         if (const grid::SpmmGridEntry* e = grid::find_spmm(cs_)) {
           spmm_fn_ = e->fn;
           kernel_id_ = e->id;
@@ -793,7 +751,6 @@ class CpuSpmm {
     const simd::DecodeShortFn dshort = simd::decode_short();
     const simd::DecodeDeltaFn ddelta = simd::decode_delta();
 
-    const bool unordered = mode_ == SegSumMode::kSpeculative;
     // Specialized dispatch (stream burned in), same shape as CpuSpmv::spmv:
     // resolved at construction, branched once per chunk.
     const grid::SpmmCtx gctx{fmt_.get(),      starts_.data(),
@@ -850,54 +807,31 @@ class CpuSpmm {
       }
       std::copy(acc, acc + kz, &carries_[c * kz]);
     };
-    if (unordered) {
-      parallel_for_unordered(nchunks, threads_, chunk_body);
-    } else {
-      parallel_for_ordered(nchunks, threads_, chunk_body);
-    }
+    parallel_for_unordered(nchunks, threads_, chunk_body);
 
     // Fix-up assigns, same injectivity argument as CpuSpmv::spmv.
-    if (mode_ == SegSumMode::kSerialFold) {
-      std::vector<real_t> carry(kz, 0.0);
-      for (std::size_t c = 0; c < nchunks; ++c) {
-        if (first_seg_[c + 1] > first_seg_[c]) {
+    const simd::AccAddFn aadd = simd::acc_add();
+    speculative_fixup(
+        nchunks, kz, threads_, first_seg_.data(), firsts_.data(),
+        carries_.data(), 0.0,
+        [aadd, kz](real_t* dst, const real_t* src) { aadd(dst, src, kz); },
+        [&](std::size_t c, const real_t* inc) {
+          // Y panels are column-major, so the chunk's first-segment row is
+          // strided — apply lane by lane.
           const auto row = static_cast<std::size_t>(
               f.seg_to_block_row[static_cast<std::size_t>(first_seg_[c])]);
+          const real_t* fi = firsts_.data() + c * kz;
           for (std::size_t j = 0; j < kz; ++j) {
-            Y[j * rowsz + row] = carry[j] + firsts_[c * kz + j];
-            carry[j] = carries_[c * kz + j];
+            Y[j * rowsz + row] = inc[j] + fi[j];
           }
-        } else {
-          for (std::size_t j = 0; j < kz; ++j) {
-            carry[j] += carries_[c * kz + j];
-          }
-        }
-      }
-    } else {
-      const simd::AccAddFn aadd = simd::acc_add();
-      speculative_fixup(
-          nchunks, kz, threads_, unordered, first_seg_.data(),
-          firsts_.data(), carries_.data(), 0.0,
-          [aadd, kz](real_t* dst, const real_t* src) { aadd(dst, src, kz); },
-          [&](std::size_t c, const real_t* inc) {
-            // Y panels are column-major, so the chunk's first-segment row is
-            // strided — apply lane by lane.
-            const auto row = static_cast<std::size_t>(
-                f.seg_to_block_row[static_cast<std::size_t>(first_seg_[c])]);
-            const real_t* fi = firsts_.data() + c * kz;
-            for (std::size_t j = 0; j < kz; ++j) {
-              Y[j * rowsz + row] = inc[j] + fi[j];
-            }
-          },
-          fix_);
-    }
+        },
+        fix_);
   }
 
   std::shared_ptr<const core::Bccoo> fmt_;
   CpuSpmv eng_;
   unsigned threads_;
   core::ColStream cs_;
-  SegSumMode mode_;
   grid::SpmmKernelFn spmm_fn_ = nullptr;  ///< specialized fused pass, or null
   const char* kernel_id_ = "generic";     ///< stable dispatch id
   FixupScratch fix_;

@@ -8,13 +8,20 @@
 #include <ostream>
 
 #include "yaspmv/core/status.hpp"
-#include "yaspmv/util/hash.hpp"
+#include "yaspmv/io/envelope.hpp"
 
 namespace yaspmv::io {
 
 namespace {
 
 constexpr std::uint32_t kCooMagic = 0x4F4F4359;  // "YCOO"
+
+constexpr detail::Envelope kCooEnvelope{"binary io", kCooMagic,
+                                        kContainerVersion, "bad magic",
+                                        "unsupported version"};
+constexpr detail::Envelope kBccooEnvelope{"binary io", kBccooMagic,
+                                          kContainerVersion, "bad magic",
+                                          "unsupported version"};
 
 [[noreturn]] void fail_io(const std::string& msg) {
   throw IoError("binary io: " + msg);
@@ -25,102 +32,45 @@ constexpr std::uint32_t kCooMagic = 0x4F4F4359;  // "YCOO"
 }
 
 template <class T>
-void put(std::ostream& out, const T& v, Hash64& hash) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-  if (!out) fail_io("write failed");
-  hash.update(&v, sizeof(T));
+void put_vec(detail::EnvelopeWriter& w, const std::vector<T>& v) {
+  w.put<std::uint64_t>(v.size());
+  if (!v.empty()) w.bytes(v.data(), v.size() * sizeof(T));
 }
 
 template <class T>
-T get(std::istream& in, Hash64& hash) {
-  T v;
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) fail_io("truncated stream");
-  hash.update(&v, sizeof(T));
-  return v;
-}
-
-template <class T>
-void put_vec(std::ostream& out, const std::vector<T>& v, Hash64& hash) {
-  put<std::uint64_t>(out, v.size(), hash);
-  if (!v.empty()) {
-    out.write(reinterpret_cast<const char*>(v.data()),
-              static_cast<std::streamsize>(v.size() * sizeof(T)));
-    if (!out) fail_io("write failed");
-    hash.update(v.data(), v.size() * sizeof(T));
-  }
-}
-
-template <class T>
-std::vector<T> get_vec(std::istream& in, Hash64& hash,
+std::vector<T> get_vec(detail::EnvelopeReader& r,
                        std::uint64_t limit = 1ull << 33) {
-  const auto n = get<std::uint64_t>(in, hash);
+  const auto n = r.get<std::uint64_t>();
   // Overflow-safe length validation: n * sizeof(T) must not wrap before the
   // comparison, and the total must stay under the plausibility limit.
   if (n > limit / sizeof(T)) fail_format("array size implausible (corrupt file?)");
   std::vector<T> v(n);
-  if (n != 0) {
-    in.read(reinterpret_cast<char*>(v.data()),
-            static_cast<std::streamsize>(n * sizeof(T)));
-    if (!in) fail_io("truncated stream");
-    hash.update(v.data(), n * sizeof(T));
-  }
+  if (n != 0) r.bytes(v.data(), n * sizeof(T));
   return v;
-}
-
-void write_header(std::ostream& out, std::uint32_t magic) {
-  Hash64 scratch;  // header is outside the checksum
-  put(out, magic, scratch);
-  put(out, kContainerVersion, scratch);
-}
-
-void check_header(std::istream& in, std::uint32_t magic) {
-  Hash64 scratch;
-  if (get<std::uint32_t>(in, scratch) != magic) fail_format("bad magic");
-  if (get<std::uint32_t>(in, scratch) != kContainerVersion) {
-    fail_format("unsupported version");
-  }
-}
-
-void write_checksum(std::ostream& out, const Hash64& hash) {
-  const std::uint64_t d = hash.digest();
-  out.write(reinterpret_cast<const char*>(&d), sizeof(d));
-  if (!out) fail_io("write failed");
-}
-
-void check_checksum(std::istream& in, const Hash64& hash) {
-  std::uint64_t want = 0;
-  in.read(reinterpret_cast<char*>(&want), sizeof(want));
-  if (!in) fail_io("truncated stream (missing checksum)");
-  if (want != hash.digest()) {
-    throw DataCorruption("binary io: payload checksum mismatch");
-  }
 }
 
 }  // namespace
 
 void save_coo(std::ostream& out, const fmt::Coo& m) {
-  write_header(out, kCooMagic);
-  Hash64 hash;
-  put<std::int32_t>(out, m.rows, hash);
-  put<std::int32_t>(out, m.cols, hash);
-  put_vec(out, m.row_idx, hash);
-  put_vec(out, m.col_idx, hash);
-  put_vec(out, m.vals, hash);
-  write_checksum(out, hash);
+  detail::EnvelopeWriter w(out, kCooEnvelope);
+  w.put<std::int32_t>(m.rows);
+  w.put<std::int32_t>(m.cols);
+  put_vec(w, m.row_idx);
+  put_vec(w, m.col_idx);
+  put_vec(w, m.vals);
+  w.finish();
 }
 
 fmt::Coo load_coo(std::istream& in) {
-  check_header(in, kCooMagic);
-  Hash64 hash;
+  detail::EnvelopeReader r(in, kCooEnvelope);
   fmt::Coo m;
-  m.rows = get<std::int32_t>(in, hash);
-  m.cols = get<std::int32_t>(in, hash);
+  m.rows = r.get<std::int32_t>();
+  m.cols = r.get<std::int32_t>();
   if (m.rows < 0 || m.cols < 0) fail_format("negative matrix shape");
-  m.row_idx = get_vec<index_t>(in, hash);
-  m.col_idx = get_vec<index_t>(in, hash);
-  m.vals = get_vec<real_t>(in, hash);
-  check_checksum(in, hash);
+  m.row_idx = get_vec<index_t>(r);
+  m.col_idx = get_vec<index_t>(r);
+  m.vals = get_vec<real_t>(r);
+  r.finish();
   if (m.row_idx.size() != m.col_idx.size() ||
       m.col_idx.size() != m.vals.size()) {
     fail_format("inconsistent COO arrays");
@@ -136,49 +86,46 @@ fmt::Coo load_coo(std::istream& in) {
 }
 
 void save_bccoo(std::ostream& out, const core::Bccoo& m) {
-  write_header(out, kBccooMagic);
-  Hash64 hash;
-  put<std::int32_t>(out, m.rows, hash);
-  put<std::int32_t>(out, m.cols, hash);
-  put<std::int32_t>(out, m.cfg.block_w, hash);
-  put<std::int32_t>(out, m.cfg.block_h, hash);
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(m.cfg.bf_word), hash);
-  put<std::int32_t>(out, m.cfg.slices, hash);
-  put<std::int32_t>(out, m.block_rows, hash);
-  put<std::int32_t>(out, m.block_cols, hash);
-  put<std::int32_t>(out, m.stacked_block_rows, hash);
-  put<std::uint64_t>(out, m.num_blocks, hash);
-  put<std::uint64_t>(out, m.bit_flags.size(), hash);
-  put_vec(out, m.bit_flags.words(), hash);
-  put_vec(out, m.col_index, hash);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(m.value_rows.size()),
-                     hash);
-  for (const auto& vr : m.value_rows) put_vec(out, vr, hash);
-  put_vec(out, m.seg_to_block_row, hash);
-  put<std::uint8_t>(out, m.identity_segments ? 1 : 0, hash);
-  write_checksum(out, hash);
+  detail::EnvelopeWriter w(out, kBccooEnvelope);
+  w.put<std::int32_t>(m.rows);
+  w.put<std::int32_t>(m.cols);
+  w.put<std::int32_t>(m.cfg.block_w);
+  w.put<std::int32_t>(m.cfg.block_h);
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(m.cfg.bf_word));
+  w.put<std::int32_t>(m.cfg.slices);
+  w.put<std::int32_t>(m.block_rows);
+  w.put<std::int32_t>(m.block_cols);
+  w.put<std::int32_t>(m.stacked_block_rows);
+  w.put<std::uint64_t>(m.num_blocks);
+  w.put<std::uint64_t>(m.bit_flags.size());
+  put_vec(w, m.bit_flags.words());
+  put_vec(w, m.col_index);
+  w.put<std::uint32_t>(static_cast<std::uint32_t>(m.value_rows.size()));
+  for (const auto& vr : m.value_rows) put_vec(w, vr);
+  put_vec(w, m.seg_to_block_row);
+  w.put<std::uint8_t>(m.identity_segments ? 1 : 0);
+  w.finish();
 }
 
 core::Bccoo load_bccoo(std::istream& in, bool rebuild_derived) {
-  check_header(in, kBccooMagic);
-  Hash64 hash;
+  detail::EnvelopeReader r(in, kBccooEnvelope);
   core::Bccoo m;
-  m.rows = get<std::int32_t>(in, hash);
-  m.cols = get<std::int32_t>(in, hash);
-  m.cfg.block_w = get<std::int32_t>(in, hash);
-  m.cfg.block_h = get<std::int32_t>(in, hash);
-  m.cfg.bf_word = static_cast<BitFlagWord>(get<std::uint8_t>(in, hash));
-  m.cfg.slices = get<std::int32_t>(in, hash);
-  m.block_rows = get<std::int32_t>(in, hash);
-  m.block_cols = get<std::int32_t>(in, hash);
-  m.stacked_block_rows = get<std::int32_t>(in, hash);
+  m.rows = r.get<std::int32_t>();
+  m.cols = r.get<std::int32_t>();
+  m.cfg.block_w = r.get<std::int32_t>();
+  m.cfg.block_h = r.get<std::int32_t>();
+  m.cfg.bf_word = static_cast<BitFlagWord>(r.get<std::uint8_t>());
+  m.cfg.slices = r.get<std::int32_t>();
+  m.block_rows = r.get<std::int32_t>();
+  m.block_cols = r.get<std::int32_t>();
+  m.stacked_block_rows = r.get<std::int32_t>();
   if (m.cfg.block_h < 1 || m.cfg.block_h > 64 || m.cfg.block_w < 1 ||
       m.cfg.block_w > 64) {
     fail_format("implausible block dimensions");
   }
-  m.num_blocks = get<std::uint64_t>(in, hash);
-  const auto nbits = get<std::uint64_t>(in, hash);
-  const auto words = get_vec<std::uint32_t>(in, hash);
+  m.num_blocks = r.get<std::uint64_t>();
+  const auto nbits = r.get<std::uint64_t>();
+  const auto words = get_vec<std::uint32_t>(r);
   if (words.size() != (nbits + 31) / 32 || nbits != m.num_blocks) {
     fail_format("inconsistent bit-flag array");
   }
@@ -186,21 +133,21 @@ core::Bccoo load_bccoo(std::istream& in, bool rebuild_derived) {
   for (std::uint64_t i = 0; i < nbits; ++i) {
     m.bit_flags.set(i, (words[i >> 5] >> (i & 31u)) & 1u);
   }
-  m.col_index = get_vec<index_t>(in, hash);
-  const auto nrows_arrays = get<std::uint32_t>(in, hash);
+  m.col_index = get_vec<index_t>(r);
+  const auto nrows_arrays = r.get<std::uint32_t>();
   if (nrows_arrays != static_cast<std::uint32_t>(m.cfg.block_h)) {
     fail_format("value-array count != block height");
   }
   m.value_rows.resize(nrows_arrays);
   for (auto& vr : m.value_rows) {
-    vr = get_vec<real_t>(in, hash);
+    vr = get_vec<real_t>(r);
     if (vr.size() != m.num_blocks * static_cast<std::size_t>(m.cfg.block_w)) {
       fail_format("value array size mismatch");
     }
   }
-  m.seg_to_block_row = get_vec<index_t>(in, hash);
-  m.identity_segments = get<std::uint8_t>(in, hash) != 0;
-  check_checksum(in, hash);
+  m.seg_to_block_row = get_vec<index_t>(r);
+  m.identity_segments = r.get<std::uint8_t>() != 0;
+  r.finish();
   if (m.col_index.size() != m.num_blocks) fail_format("col array size mismatch");
   if (m.seg_to_block_row.size() != m.bit_flags.count_zeros()) {
     fail_format("segment map size mismatch");

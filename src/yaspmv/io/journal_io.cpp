@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "yaspmv/core/status.hpp"
-#include "yaspmv/util/hash.hpp"
+#include "yaspmv/io/envelope.hpp"
 
 namespace yaspmv::io {
 
@@ -18,105 +18,70 @@ constexpr std::uint32_t kJournalMagic = 0x4E524A59;  // "YJRN"
 // v2: the trailer is Hash64 instead of FNV-1a; the layout is unchanged.
 constexpr std::uint32_t kJournalVersion = 2;
 
+constexpr detail::Envelope kJournalEnvelope{
+    "journal io", kJournalMagic, kJournalVersion,
+    "bad magic (not a journal file)", "unsupported journal version"};
+
 [[noreturn]] void fail_io(const std::string& msg) {
   throw IoError("journal io: " + msg);
-}
-
-[[noreturn]] void fail_format(const std::string& msg) {
-  throw FormatInvalid("journal io: " + msg);
-}
-
-template <class T>
-void put(std::ostream& out, const T& v, Hash64& hash) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-  if (!out) fail_io("write failed");
-  hash.update(&v, sizeof(T));
-}
-
-template <class T>
-T get(std::istream& in, Hash64& hash) {
-  T v;
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) fail_io("truncated stream");
-  hash.update(&v, sizeof(T));
-  return v;
 }
 
 }  // namespace
 
 void save_journal(std::ostream& out, const sim::RecordedRun& run) {
-  Hash64 scratch;  // header is outside the checksum
-  put(out, kJournalMagic, scratch);
-  put(out, kJournalVersion, scratch);
-
-  Hash64 hash;
-  put<std::int32_t>(out, run.num_workgroups, hash);
-  put<std::int32_t>(out, run.workgroup_size, hash);
-  put<std::uint32_t>(out, run.workers, hash);
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(run.fault.type), hash);
-  put<std::int32_t>(out, run.fault.target_wg, hash);
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(run.fault.launch), hash);
-  put<double>(out, run.fault.magnitude, hash);
-  put<std::uint64_t>(out, run.spin_budget_override, hash);
-  put<std::uint64_t>(out, run.events.size(), hash);
+  detail::EnvelopeWriter w(out, kJournalEnvelope);
+  w.put<std::int32_t>(run.num_workgroups);
+  w.put<std::int32_t>(run.workgroup_size);
+  w.put<std::uint32_t>(run.workers);
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(run.fault.type));
+  w.put<std::int32_t>(run.fault.target_wg);
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(run.fault.launch));
+  w.put<double>(run.fault.magnitude);
+  w.put<std::uint64_t>(run.spin_budget_override);
+  w.put<std::uint64_t>(run.events.size());
   // Events are written field-by-field (not memcpy'd) so struct padding never
   // leaks uninitialized bytes into the file or the checksum.
   for (const sim::Event& e : run.events) {
-    put<std::uint64_t>(out, e.seq, hash);
-    put<std::uint8_t>(out, static_cast<std::uint8_t>(e.type), hash);
-    put<std::uint8_t>(out, e.kind, hash);
-    put<std::uint16_t>(out, e.worker, hash);
-    put<std::int32_t>(out, e.wg, hash);
-    put<std::int32_t>(out, e.aux, hash);
+    w.put<std::uint64_t>(e.seq);
+    w.put<std::uint8_t>(static_cast<std::uint8_t>(e.type));
+    w.put<std::uint8_t>(e.kind);
+    w.put<std::uint16_t>(e.worker);
+    w.put<std::int32_t>(e.wg);
+    w.put<std::int32_t>(e.aux);
   }
-
-  const std::uint64_t d = hash.digest();
-  out.write(reinterpret_cast<const char*>(&d), sizeof(d));
-  if (!out) fail_io("write failed");
+  w.finish();
 }
 
 sim::RecordedRun load_journal(std::istream& in) {
-  Hash64 scratch;
-  if (get<std::uint32_t>(in, scratch) != kJournalMagic) {
-    fail_format("bad magic (not a journal file)");
-  }
-  if (get<std::uint32_t>(in, scratch) != kJournalVersion) {
-    fail_format("unsupported journal version");
-  }
-
-  Hash64 hash;
+  detail::EnvelopeReader r(in, kJournalEnvelope);
   sim::RecordedRun run;
-  run.num_workgroups = get<std::int32_t>(in, hash);
-  run.workgroup_size = get<std::int32_t>(in, hash);
-  run.workers = get<std::uint32_t>(in, hash);
+  run.num_workgroups = r.get<std::int32_t>();
+  run.workgroup_size = r.get<std::int32_t>();
+  run.workers = r.get<std::uint32_t>();
   if (run.num_workgroups < 0 || run.workgroup_size < 0) {
-    fail_format("negative launch geometry");
+    r.fail_format("negative launch geometry");
   }
-  run.fault.type = static_cast<sim::FaultType>(get<std::uint8_t>(in, hash));
-  run.fault.target_wg = get<std::int32_t>(in, hash);
-  run.fault.launch = static_cast<sim::LaunchKind>(get<std::uint8_t>(in, hash));
-  run.fault.magnitude = get<double>(in, hash);
-  run.spin_budget_override = get<std::uint64_t>(in, hash);
-  const auto n = get<std::uint64_t>(in, hash);
-  if (n > (1ull << 28)) fail_format("event count implausible (corrupt file?)");
+  run.fault.type = static_cast<sim::FaultType>(r.get<std::uint8_t>());
+  run.fault.target_wg = r.get<std::int32_t>();
+  run.fault.launch = static_cast<sim::LaunchKind>(r.get<std::uint8_t>());
+  run.fault.magnitude = r.get<double>();
+  run.spin_budget_override = r.get<std::uint64_t>();
+  const auto n = r.get<std::uint64_t>();
+  if (n > (1ull << 28)) {
+    r.fail_format("event count implausible (corrupt file?)");
+  }
   run.events.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
     sim::Event e;
-    e.seq = get<std::uint64_t>(in, hash);
-    e.type = static_cast<sim::EventType>(get<std::uint8_t>(in, hash));
-    e.kind = get<std::uint8_t>(in, hash);
-    e.worker = get<std::uint16_t>(in, hash);
-    e.wg = get<std::int32_t>(in, hash);
-    e.aux = get<std::int32_t>(in, hash);
+    e.seq = r.get<std::uint64_t>();
+    e.type = static_cast<sim::EventType>(r.get<std::uint8_t>());
+    e.kind = r.get<std::uint8_t>();
+    e.worker = r.get<std::uint16_t>();
+    e.wg = r.get<std::int32_t>();
+    e.aux = r.get<std::int32_t>();
     run.events.push_back(e);
   }
-
-  std::uint64_t want = 0;
-  in.read(reinterpret_cast<char*>(&want), sizeof(want));
-  if (!in) fail_io("truncated stream (missing checksum)");
-  if (want != hash.digest()) {
-    throw DataCorruption("journal io: payload checksum mismatch");
-  }
+  r.finish();
   return run;
 }
 

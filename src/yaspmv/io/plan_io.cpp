@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "yaspmv/core/status.hpp"
+#include "yaspmv/io/envelope.hpp"
 #include "yaspmv/util/hash.hpp"
 
 namespace yaspmv::io {
@@ -14,62 +15,38 @@ namespace {
 
 constexpr std::uint32_t kPlanMagic = 0x4E4C5059;  // "YPLN"
 
+constexpr detail::Envelope kPlanEnvelope{"plan io", kPlanMagic,
+                                         kPlanFileVersion, "bad magic",
+                                         "unsupported plan file version"};
+
 [[noreturn]] void fail_io(const std::string& msg) {
   throw IoError("plan io: " + msg);
 }
 
-[[noreturn]] void fail_format(const std::string& msg) {
-  throw FormatInvalid("plan io: " + msg);
+void put_string(detail::EnvelopeWriter& w, const std::string& s) {
+  w.put<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
+  if (!s.empty()) w.bytes(s.data(), s.size());
 }
 
-template <class T>
-void put(std::ostream& out, const T& v, Hash64& hash) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-  if (!out) fail_io("write failed");
-  hash.update(&v, sizeof(T));
-}
-
-template <class T>
-T get(std::istream& in, Hash64& hash) {
-  T v;
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) fail_io("truncated stream");
-  hash.update(&v, sizeof(T));
-  return v;
-}
-
-void put_string(std::ostream& out, const std::string& s, Hash64& hash) {
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()), hash);
-  if (!s.empty()) {
-    out.write(s.data(), static_cast<std::streamsize>(s.size()));
-    if (!out) fail_io("write failed");
-    hash.update(s.data(), s.size());
-  }
-}
-
-std::string get_string(std::istream& in, Hash64& hash) {
-  const auto n = get<std::uint32_t>(in, hash);
-  if (n > (1u << 16)) fail_format("string length implausible");
+std::string get_string(detail::EnvelopeReader& r) {
+  const auto n = r.get<std::uint32_t>();
+  if (n > (1u << 16)) r.fail_format("string length implausible");
   std::string s(n, '\0');
-  if (n != 0) {
-    in.read(s.data(), n);
-    if (!in) fail_io("truncated stream");
-    hash.update(s.data(), n);
-  }
+  if (n != 0) r.bytes(s.data(), n);
   return s;
 }
 
-void put_candidate(std::ostream& out, const tune::Candidate& c, Hash64& hash) {
-  put<std::int32_t>(out, c.format.block_w, hash);
-  put<std::int32_t>(out, c.format.block_h, hash);
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(c.format.bf_word), hash);
-  put<std::int32_t>(out, c.format.slices, hash);
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(c.exec.strategy), hash);
-  put<std::int32_t>(out, c.exec.workgroup_size, hash);
-  put<std::int32_t>(out, c.exec.thread_tile, hash);
-  put<std::int32_t>(out, c.exec.shm_tile, hash);
-  put<std::int32_t>(out, c.exec.result_cache_multiple, hash);
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(c.exec.transpose), hash);
+void put_candidate(detail::EnvelopeWriter& w, const tune::Candidate& c) {
+  w.put<std::int32_t>(c.format.block_w);
+  w.put<std::int32_t>(c.format.block_h);
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(c.format.bf_word));
+  w.put<std::int32_t>(c.format.slices);
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(c.exec.strategy));
+  w.put<std::int32_t>(c.exec.workgroup_size);
+  w.put<std::int32_t>(c.exec.thread_tile);
+  w.put<std::int32_t>(c.exec.shm_tile);
+  w.put<std::int32_t>(c.exec.result_cache_multiple);
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(c.exec.transpose));
   std::uint8_t flags = 0;
   flags |= c.exec.use_texture ? 1u : 0u;
   flags |= c.exec.compress_col_delta ? 2u : 0u;
@@ -77,44 +54,44 @@ void put_candidate(std::ostream& out, const tune::Candidate& c, Hash64& hash) {
   flags |= c.exec.adjacent_sync ? 8u : 0u;
   flags |= c.exec.skip_scan_opt ? 16u : 0u;
   flags |= c.exec.logical_ids ? 32u : 0u;
-  put<std::uint8_t>(out, flags, hash);
-  put<std::uint32_t>(out, c.exec.workers, hash);
-  put<double>(out, c.gflops, hash);
-  put<std::uint64_t>(out, c.footprint, hash);
-  put<double>(out, c.measured_gflops, hash);
-  put<std::uint64_t>(out, c.measured_bytes, hash);
-  put_string(out, c.kernel, hash);  // v2: dispatched kernel id
+  w.put<std::uint8_t>(flags);
+  w.put<std::uint32_t>(c.exec.workers);
+  w.put<double>(c.gflops);
+  w.put<std::uint64_t>(c.footprint);
+  w.put<double>(c.measured_gflops);
+  w.put<std::uint64_t>(c.measured_bytes);
+  put_string(w, c.kernel);  // v2: dispatched kernel id
 }
 
-tune::Candidate get_candidate(std::istream& in, Hash64& hash) {
+tune::Candidate get_candidate(detail::EnvelopeReader& r) {
   tune::Candidate c;
-  c.format.block_w = get<std::int32_t>(in, hash);
-  c.format.block_h = get<std::int32_t>(in, hash);
-  c.format.bf_word = static_cast<BitFlagWord>(get<std::uint8_t>(in, hash));
-  c.format.slices = get<std::int32_t>(in, hash);
-  c.exec.strategy = static_cast<core::Strategy>(get<std::uint8_t>(in, hash));
-  c.exec.workgroup_size = get<std::int32_t>(in, hash);
-  c.exec.thread_tile = get<std::int32_t>(in, hash);
-  c.exec.shm_tile = get<std::int32_t>(in, hash);
-  c.exec.result_cache_multiple = get<std::int32_t>(in, hash);
-  c.exec.transpose = static_cast<core::Transpose>(get<std::uint8_t>(in, hash));
-  const auto flags = get<std::uint8_t>(in, hash);
+  c.format.block_w = r.get<std::int32_t>();
+  c.format.block_h = r.get<std::int32_t>();
+  c.format.bf_word = static_cast<BitFlagWord>(r.get<std::uint8_t>());
+  c.format.slices = r.get<std::int32_t>();
+  c.exec.strategy = static_cast<core::Strategy>(r.get<std::uint8_t>());
+  c.exec.workgroup_size = r.get<std::int32_t>();
+  c.exec.thread_tile = r.get<std::int32_t>();
+  c.exec.shm_tile = r.get<std::int32_t>();
+  c.exec.result_cache_multiple = r.get<std::int32_t>();
+  c.exec.transpose = static_cast<core::Transpose>(r.get<std::uint8_t>());
+  const auto flags = r.get<std::uint8_t>();
   c.exec.use_texture = (flags & 1u) != 0;
   c.exec.compress_col_delta = (flags & 2u) != 0;
   c.exec.short_col_index = (flags & 4u) != 0;
   c.exec.adjacent_sync = (flags & 8u) != 0;
   c.exec.skip_scan_opt = (flags & 16u) != 0;
   c.exec.logical_ids = (flags & 32u) != 0;
-  c.exec.workers = get<std::uint32_t>(in, hash);
-  c.gflops = get<double>(in, hash);
-  c.footprint = static_cast<std::size_t>(get<std::uint64_t>(in, hash));
-  c.measured_gflops = get<double>(in, hash);
-  c.measured_bytes = static_cast<std::size_t>(get<std::uint64_t>(in, hash));
-  c.kernel = get_string(in, hash);
+  c.exec.workers = r.get<std::uint32_t>();
+  c.gflops = r.get<double>();
+  c.footprint = static_cast<std::size_t>(r.get<std::uint64_t>());
+  c.measured_gflops = r.get<double>();
+  c.measured_bytes = static_cast<std::size_t>(r.get<std::uint64_t>());
+  c.kernel = get_string(r);
   // Kernel ids are short fixed-vocabulary strings ("generic",
   // "grid/w8h4/delta", ...); anything longer is version skew or hostility.
   if (c.kernel.empty() || c.kernel.size() > 64) {
-    fail_format("stored kernel id implausible");
+    r.fail_format("stored kernel id implausible");
   }
   // Plausibility gates: a plan with nonsense geometry must not reach
   // Bccoo::build / the engine even if its checksum is intact (a hostile or
@@ -122,15 +99,15 @@ tune::Candidate get_candidate(std::istream& in, Hash64& hash) {
   if (c.format.block_w < 1 || c.format.block_w > 64 || c.format.block_h < 1 ||
       c.format.block_h > 64 || c.format.slices < 1 ||
       c.format.slices > 4096) {
-    fail_format("stored format geometry implausible");
+    r.fail_format("stored format geometry implausible");
   }
   if (c.exec.workgroup_size < 1 || c.exec.workgroup_size > 4096 ||
       c.exec.thread_tile < 1 || c.exec.thread_tile > 4096) {
-    fail_format("stored exec geometry implausible");
+    r.fail_format("stored exec geometry implausible");
   }
   if (c.exec.strategy != core::Strategy::kIntermediateSums &&
       c.exec.strategy != core::Strategy::kResultCache) {
-    fail_format("stored strategy out of range");
+    r.fail_format("stored strategy out of range");
   }
   return c;
 }
@@ -158,49 +135,35 @@ std::uint64_t payload_checksum(const fmt::Coo& a) {
 }
 
 void save_plan(std::ostream& out, const PlanRecord& p) {
-  Hash64 scratch;  // header is outside the checksum
-  put(out, kPlanMagic, scratch);
-  put(out, kPlanFileVersion, scratch);
-  Hash64 hash;
-  put<std::uint32_t>(out, p.code_version, hash);
-  put<std::uint64_t>(out, p.payload_checksum, hash);
-  put_string(out, p.device, hash);
-  put_candidate(out, p.best, hash);
-  put<double>(out, p.tuning_seconds, hash);
-  put<std::int32_t>(out, p.evaluated, hash);
-  const std::uint64_t d = hash.digest();
-  out.write(reinterpret_cast<const char*>(&d), sizeof d);
-  if (!out) fail_io("write failed");
+  detail::EnvelopeWriter w(out, kPlanEnvelope);
+  w.put<std::uint32_t>(p.code_version);
+  w.put<std::uint64_t>(p.payload_checksum);
+  put_string(w, p.device);
+  put_candidate(w, p.best);
+  w.put<double>(p.tuning_seconds);
+  w.put<std::int32_t>(p.evaluated);
+  w.finish();
 }
 
 PlanRecord load_plan(std::istream& in) {
-  Hash64 scratch;
-  if (get<std::uint32_t>(in, scratch) != kPlanMagic) fail_format("bad magic");
-  if (get<std::uint32_t>(in, scratch) != kPlanFileVersion) {
-    fail_format("unsupported plan file version");
-  }
-  Hash64 hash;
+  detail::EnvelopeReader r(in, kPlanEnvelope);
   PlanRecord p;
-  p.code_version = get<std::uint32_t>(in, hash);
+  p.code_version = r.get<std::uint32_t>();
   // Check the code version *before* parsing the candidate: the candidate
   // layout itself changes across code versions (v2 appended the kernel id),
   // so a stale plan must fail deterministically here rather than mis-parse
   // downstream fields into a plausible-looking wrong plan.
   if (p.code_version != kPlanCodeVersion) {
-    fail_format("stale plan code version " + std::to_string(p.code_version) +
-                " (want " + std::to_string(kPlanCodeVersion) + ")");
+    r.fail_format("stale plan code version " +
+                  std::to_string(p.code_version) + " (want " +
+                  std::to_string(kPlanCodeVersion) + ")");
   }
-  p.payload_checksum = get<std::uint64_t>(in, hash);
-  p.device = get_string(in, hash);
-  p.best = get_candidate(in, hash);
-  p.tuning_seconds = get<double>(in, hash);
-  p.evaluated = get<std::int32_t>(in, hash);
-  std::uint64_t want = 0;
-  in.read(reinterpret_cast<char*>(&want), sizeof want);
-  if (!in) fail_io("truncated stream (missing checksum)");
-  if (want != hash.digest()) {
-    throw DataCorruption("plan io: payload checksum mismatch");
-  }
+  p.payload_checksum = r.get<std::uint64_t>();
+  p.device = get_string(r);
+  p.best = get_candidate(r);
+  p.tuning_seconds = r.get<double>();
+  p.evaluated = r.get<std::int32_t>();
+  r.finish();
   return p;
 }
 

@@ -9,9 +9,9 @@
 //     void apply(std::span<const real_t> x, std::span<real_t> y);  // y = A*x
 //   };
 //
-// Adapters are provided for the serial CSR reference, the native CPU
-// backend and the simulated GPU engine, so a solver can be moved between
-// backends with one line.
+// Adapters are provided for the serial CSR reference and the native CPU
+// backend, so a solver can be moved between backends with one line (the
+// solver tests also drive one over the simulated GPU engine).
 //
 // The primary loops run on the fused pooled vector kernels of
 // cpu/vecops.hpp: adjacent vector updates collapse into one sweep
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "yaspmv/core/checksum.hpp"
-#include "yaspmv/core/engine.hpp"
 #include "yaspmv/cpu/spmv.hpp"
 #include "yaspmv/cpu/vecops.hpp"
 #include "yaspmv/formats/csr.hpp"
@@ -104,39 +103,6 @@ class CpuOperator {
 
  private:
   cpu::CpuSpmv eng_;
-};
-
-/// Simulated-device operator (accumulates the kernel statistics so a solve
-/// can be performance-modeled end to end).
-class SimOperator {
- public:
-  SimOperator(const fmt::Coo& a, const core::FormatConfig& fc,
-              const core::ExecConfig& ec, sim::DeviceSpec dev)
-      : eng_(a, fc, ec, std::move(dev)) {}
-  index_t rows() const { return eng_.format().rows; }
-  index_t cols() const { return eng_.format().cols; }
-  void apply(std::span<const real_t> x, std::span<real_t> y) {
-    stats_ += eng_.run(x, y).stats;
-    applies_++;
-  }
-  /// Checksum-verified apply on the simulated pipeline; the pre-combine
-  /// partials attribute a failure to the slice that tripped.
-  core::ChecksumReport apply_verified(std::span<const real_t> x,
-                                      std::span<real_t> y) {
-    apply(x, y);
-    return core::verify_apply_or_throw(eng_.format(), x, y, eng_.partials(),
-                                       "sim verified apply");
-  }
-  void set_fault_injector(sim::FaultInjector* fault) {
-    eng_.set_fault_injector(fault);
-  }
-  const sim::KernelStats& stats() const { return stats_; }
-  std::size_t applies() const { return applies_; }
-
- private:
-  core::SpmvEngine eng_;
-  sim::KernelStats stats_;
-  std::size_t applies_ = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -261,8 +261,7 @@ TuneResult tune(const fmt::Coo& a, const sim::DeviceSpec& dev,
           // ranking reflects what serving actually executes.
           o.cand.kernel = cpu::grid::dispatch_kernel_id(
               static_cast<int>(fc.block_w), static_cast<int>(fc.block_h),
-              fe.fmt->resolve_col_stream(native_stream(ec)),
-              cpu::default_segsum_mode());
+              fe.fmt->resolve_col_stream(native_stream(ec)));
           o.cand.gflops = perf::spmv_gflops_dispatch(
               dev, run.stats, a.nnz(), opt.rank_threads, fe.fmt->num_blocks,
               o.cand.kernel != "generic");

@@ -1,11 +1,11 @@
 // Specialization-grid tests (cpu/kernels_grid.hpp): every grid
 // instantiation must be BITWISE identical to the generic kernel at a fixed
-// (threads, simd level, segsum mode) — the grid extends the determinism
-// contract, it must never fork it.  Sweeps all 36 chunk instantiations and
-// the 3 fused-SpMM instantiations across threads {1, 4, 16} x dispatch
-// levels {portable, avx2, avx512 when supported} x requested streams x
-// slices, checks the out-of-grid fallback (bh = 3, kSerialFold, kGeneric
-// pin) stays on the generic kernel, and pins dispatch determinism:
+// (threads, simd level) — the grid extends the determinism contract, it
+// must never fork it.  Sweeps all 36 chunk instantiations and the 3
+// fused-SpMM instantiations across threads {1, 4, 16} x dispatch levels
+// {portable, avx2, avx512 when supported} x requested streams x slices,
+// checks the out-of-grid fallback (bh = 3, kGeneric pin) stays on the
+// generic kernel, and pins dispatch determinism:
 // identical engines resolve identical kernels and produce identical bits
 // run to run.
 #include "yaspmv/cpu/kernels_grid.hpp"
@@ -84,15 +84,13 @@ void expect_parity(const std::shared_ptr<const core::Bccoo>& m,
                    unsigned threads, bool expect_grid,
                    const std::string& what) {
   cpu::CpuSpmv spec(m, threads, cs);
-  cpu::CpuSpmv gen(m, threads, cs, cpu::default_segsum_mode(),
-                   KernelDispatch::kGeneric);
+  cpu::CpuSpmv gen(m, threads, cs, KernelDispatch::kGeneric);
   ASSERT_STREQ(gen.kernel_id(), "generic") << what;
   ASSERT_FALSE(gen.specialized()) << what;
   ASSERT_STREQ(spec.kernel_id(),
                cpu::grid::dispatch_kernel_id(
                    static_cast<int>(m->cfg.block_w),
-                   static_cast<int>(m->cfg.block_h), spec.col_stream(),
-                   cpu::default_segsum_mode()))
+                   static_cast<int>(m->cfg.block_h), spec.col_stream()))
       << what;
   if (expect_grid) {
     ASSERT_TRUE(spec.specialized())
@@ -209,18 +207,14 @@ TEST(KernelGrid, OutOfGridConfigsFallBackToGeneric) {
   }
 }
 
-// kSerialFold and an explicit kGeneric pin keep the generic kernel even
-// for in-grid configs.
-TEST(KernelGrid, SerialFoldAndGenericPinStayGeneric) {
+// An explicit kGeneric pin keeps the generic kernel even for in-grid
+// configs.
+TEST(KernelGrid, GenericPinStaysGeneric) {
   FormatPool pool(gen::fem_mesh(300, 20, 3, 0.05, 9));
   const auto m = pool.get(2, 2, 1);
-  cpu::CpuSpmv fold(m, 4, core::ColStream::kAuto,
-                    cpu::SegSumMode::kSerialFold);
-  ASSERT_STREQ(fold.kernel_id(), "generic");
-  ASSERT_FALSE(fold.specialized());
-  cpu::CpuSpmv pinned(m, 4, core::ColStream::kAuto,
-                      cpu::default_segsum_mode(), KernelDispatch::kGeneric);
+  cpu::CpuSpmv pinned(m, 4, core::ColStream::kAuto, KernelDispatch::kGeneric);
   ASSERT_STREQ(pinned.kernel_id(), "generic");
+  ASSERT_FALSE(pinned.specialized());
   cpu::CpuSpmv autod(m, 4);
   ASSERT_TRUE(autod.specialized());
 }
@@ -256,8 +250,7 @@ TEST(KernelGrid, FusedSpmmMatchesGenericBitwise) {
                              core::ColStream::kDelta}) {
     for (unsigned threads : {1u, 4u, 16u}) {
       cpu::CpuSpmm spec(m, threads, cs);
-      cpu::CpuSpmm gen(m, threads, cs, cpu::default_segsum_mode(),
-                       KernelDispatch::kGeneric);
+      cpu::CpuSpmm gen(m, threads, cs, KernelDispatch::kGeneric);
       ASSERT_STREQ(gen.kernel_id(), "generic");
       ASSERT_EQ(std::string(spec.kernel_id()).rfind("grid/spmm/", 0), 0u)
           << spec.kernel_id();
@@ -283,8 +276,7 @@ TEST(KernelGrid, BlockedSpmmReportsPerVectorKernel) {
   const auto X = make_x(static_cast<index_t>(m->cols * k), 0xBEEF);
   std::vector<real_t> Ys(static_cast<std::size_t>(m->rows) * k),
       Yg(Ys.size());
-  cpu::CpuSpmm gen(m, 2, core::ColStream::kAuto, cpu::default_segsum_mode(),
-                   KernelDispatch::kGeneric);
+  cpu::CpuSpmm gen(m, 2, core::ColStream::kAuto, KernelDispatch::kGeneric);
   spec.spmm(X, Ys, k);
   gen.spmm(X, Yg, k);
   ASSERT_TRUE(bitwise_eq(Ys, Yg));

@@ -46,7 +46,7 @@ std::vector<real_t> kernel_y(const fmt::Coo& a, const core::FormatConfig& fc,
                              const std::vector<real_t>& x) {
   cpu::CpuSpmv eng(
       std::make_shared<const core::Bccoo>(core::Bccoo::build(a, fc)),
-      kThreads, core::ColStream::kAuto, cpu::SegSumMode::kSpeculative);
+      kThreads);
   std::vector<real_t> y(static_cast<std::size_t>(a.rows));
   eng.spmv(x, y);
   return y;

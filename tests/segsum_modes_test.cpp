@@ -1,14 +1,16 @@
-// Segmented-sum mode tests: the speculative carry fix-up must produce
-// bitwise-identical results whether chunks are claimed in order
-// (kSpeculativeOrdered) or opportunistically (kSpeculative) — the carry
-// combine tree is a pure function of the chunk grid, not of the claim
-// schedule — across thread counts, SIMD dispatch levels, column-stream
-// encodings, blocked formats, SpMM and the semiring backend.  Also covers
+// Segmented-sum claim-order tests: a pooled apply, whose chunks are claimed
+// opportunistically, must produce the bits of the same engine applied in
+// index order — the carry combine tree is a pure function of the chunk
+// grid, not of the claim schedule — across thread counts, SIMD dispatch
+// levels, column-stream encodings, blocked formats, SpMM and the semiring
+// backend.  The in-order reference runs the engine inside a job of a
+// private WorkPool, where every nested launch runs inline in index order;
+// it needs no production code path of its own.  Also covers
 // WorkPool::run_unordered directly (exactly-once coverage, worker-id cap,
 // exception poisoning, nested-submit degrade — the serve-executor deadlock
-// regression) and checks the speculative path against the legacy serial
-// fold and the CSR reference with a scaled tolerance.  Labeled `tsan` so
-// the sanitizer script's TSan pass exercises the real interleavings.
+// regression) and checks the speculative path against the CSR reference
+// with a scaled tolerance.  Labeled `tsan` so the sanitizer script's TSan
+// pass exercises the real interleavings.
 #include "yaspmv/cpu/segfix.hpp"
 
 #include <gtest/gtest.h>
@@ -32,7 +34,6 @@
 namespace yaspmv {
 namespace {
 
-using cpu::SegSumMode;
 using cpu::simd::Level;
 
 /// RAII guard: force a dispatch level for one test, restore after.
@@ -92,8 +93,26 @@ std::vector<fmt::Coo> fixture_matrices() {
   return ms;
 }
 
+/// Runs `apply` inside a job of a private WorkPool.  Every launch the
+/// engine makes from there is nested, so it runs inline on this thread with
+/// its indices in order: the reference a pooled apply must match bit for
+/// bit.  Returns false if `apply` did not run nested (the reference would
+/// then have run pooled and proved nothing).
+template <class Apply>
+bool apply_in_order(Apply&& apply) {
+  WorkPool pool(2);
+  bool nested = false;
+  pool.run_ordered(2, 2, [&](unsigned, std::size_t i) {
+    if (i != 0) return;
+    nested = WorkPool::on_worker_thread();
+    apply();
+  });
+  return nested;
+}
+
 // ---------------------------------------------------------------------------
-// Bitwise identity: unordered claims == ordered claims, per (threads, level).
+// Bitwise identity: pooled (unordered) claims == the in-order reference,
+// per (threads, level).
 
 TEST(SegSumModes, UnorderedMatchesOrderedBitwise) {
   const auto mats = fixture_matrices();
@@ -105,12 +124,9 @@ TEST(SegSumModes, UnorderedMatchesOrderedBitwise) {
         const auto x = seeded(static_cast<std::size_t>(A.cols), 42);
         std::vector<real_t> ord(static_cast<std::size_t>(A.rows)),
             unord(static_cast<std::size_t>(A.rows));
-        cpu::CpuSpmv e_ord(build(A), threads, core::ColStream::kAuto,
-                           SegSumMode::kSpeculativeOrdered);
-        cpu::CpuSpmv e_un(build(A), threads, core::ColStream::kAuto,
-                          SegSumMode::kSpeculative);
-        e_ord.spmv(x, ord);
-        e_un.spmv(x, unord);
+        cpu::CpuSpmv eng(build(A), threads);
+        ASSERT_TRUE(apply_in_order([&] { eng.spmv(x, ord); }));
+        eng.spmv(x, unord);
         ASSERT_TRUE(bitwise_equal(ord, unord))
             << "matrix " << mi << " threads=" << threads
             << " level=" << to_string(lvl);
@@ -127,10 +143,9 @@ TEST(SegSumModes, UnorderedMatchesOrderedAcrossColStreams) {
         core::ColStream::kDelta}) {
     std::vector<real_t> ord(static_cast<std::size_t>(A.rows)),
         unord(static_cast<std::size_t>(A.rows));
-    cpu::CpuSpmv e_ord(build(A), 8, cs, SegSumMode::kSpeculativeOrdered);
-    cpu::CpuSpmv e_un(build(A), 8, cs, SegSumMode::kSpeculative);
-    e_ord.spmv(x, ord);
-    e_un.spmv(x, unord);
+    cpu::CpuSpmv eng(build(A), 8, cs);
+    ASSERT_TRUE(apply_in_order([&] { eng.spmv(x, ord); }));
+    eng.spmv(x, unord);
     ASSERT_TRUE(bitwise_equal(ord, unord)) << to_string(cs);
   }
 }
@@ -147,12 +162,9 @@ TEST(SegSumModes, UnorderedMatchesOrderedBlockedAndSliced) {
     for (unsigned threads : {2u, 8u}) {
       std::vector<real_t> ord(static_cast<std::size_t>(A.rows)),
           unord(static_cast<std::size_t>(A.rows));
-      cpu::CpuSpmv e_ord(build(A, fc), threads, core::ColStream::kAuto,
-                         SegSumMode::kSpeculativeOrdered);
-      cpu::CpuSpmv e_un(build(A, fc), threads, core::ColStream::kAuto,
-                        SegSumMode::kSpeculative);
-      e_ord.spmv(x, ord);
-      e_un.spmv(x, unord);
+      cpu::CpuSpmv eng(build(A, fc), threads);
+      ASSERT_TRUE(apply_in_order([&] { eng.spmv(x, ord); }));
+      eng.spmv(x, unord);
       ASSERT_TRUE(bitwise_equal(ord, unord))
           << "block_w=" << fc.block_w << " slices=" << fc.slices
           << " threads=" << threads;
@@ -169,15 +181,17 @@ TEST(SegSumModes, SpmmUnorderedMatchesOrderedBitwise) {
     std::vector<real_t> ord(
         static_cast<std::size_t>(A.rows) * static_cast<std::size_t>(k)),
         unord(ord.size());
-    cpu::CpuSpmm e_ord(build(A), threads, core::ColStream::kAuto,
-                       SegSumMode::kSpeculativeOrdered);
-    cpu::CpuSpmm e_un(build(A), threads, core::ColStream::kAuto,
-                      SegSumMode::kSpeculative);
-    e_ord.spmm(X, ord, k);
-    e_un.spmm(X, unord, k);
+    cpu::CpuSpmm eng(build(A), threads);
+    ASSERT_TRUE(apply_in_order([&] { eng.spmm(X, ord, k); }));
+    eng.spmm(X, unord, k);
     ASSERT_TRUE(bitwise_equal(ord, unord)) << "threads=" << threads;
   }
 }
+
+/// The semiring fixtures are small: a pooled launch of one often starts its
+/// chunks in index order anyway, so a single pooled apply can miss an
+/// order dependence.  Repeating it makes some runs interleave.
+constexpr int kSemiringPooledReps = 25;
 
 TEST(SegSumModes, SemiringUnorderedMatchesOrderedBitwise) {
   const auto A = gen::random_scattered(600, 600, 5, 13);
@@ -186,39 +200,61 @@ TEST(SegSumModes, SemiringUnorderedMatchesOrderedBitwise) {
   for (unsigned threads : {1u, 4u, 8u}) {
     std::vector<real_t> ord(static_cast<std::size_t>(A.rows)),
         unord(static_cast<std::size_t>(A.rows));
-    cpu::spmv_semiring<cpu::PlusTimes>(f, x, ord, threads,
-                                       SegSumMode::kSpeculativeOrdered);
-    cpu::spmv_semiring<cpu::PlusTimes>(f, x, unord, threads,
-                                       SegSumMode::kSpeculative);
-    ASSERT_TRUE(bitwise_equal(ord, unord)) << "threads=" << threads;
+    ASSERT_TRUE(apply_in_order(
+        [&] { cpu::spmv_semiring<cpu::PlusTimes>(f, x, ord, threads); }));
+    for (int rep = 0; rep < kSemiringPooledReps; ++rep) {
+      cpu::spmv_semiring<cpu::PlusTimes>(f, x, unord, threads);
+      ASSERT_TRUE(bitwise_equal(ord, unord))
+          << "threads=" << threads << " rep " << rep;
+    }
   }
+}
+
+/// One min-plus relaxation straight off the COO: y[r] = min over the
+/// row's entries of (a + d[c]), empty rows at +infinity.
+std::vector<real_t> minplus_reference(const fmt::Coo& A,
+                                      const std::vector<real_t>& d) {
+  std::vector<real_t> y(static_cast<std::size_t>(A.rows),
+                        std::numeric_limits<real_t>::infinity());
+  for (std::size_t i = 0; i < A.nnz(); ++i) {
+    const auto r = static_cast<std::size_t>(A.row_idx[i]);
+    const real_t v = A.vals[i] + d[static_cast<std::size_t>(A.col_idx[i])];
+    if (v < y[r]) y[r] = v;
+  }
+  return y;
 }
 
 TEST(SegSumModes, SemiringMinPlusUnorderedMatchesOrdered) {
   // Non-arithmetic semiring: min-plus is fully associative, so the
-  // speculative tree must agree with the serial fold *exactly* too.
+  // speculative tree must agree with the plain COO relaxation *exactly*
+  // too.  Two distance vectors: one finite source (most rows stay at
+  // infinity) and finite distances everywhere (every row is a real min).
   const auto A = gen::stencil2d(20, 20, false, 1);
   auto g = core::Bccoo::build(A, {});
-  std::vector<real_t> d(static_cast<std::size_t>(A.rows),
-                        std::numeric_limits<real_t>::infinity());
-  d[0] = 0;
-  std::vector<real_t> ord(d.size()), unord(d.size()), serial(d.size());
-  cpu::spmv_semiring<cpu::MinPlus>(g, d, ord, 8,
-                                   SegSumMode::kSpeculativeOrdered);
-  cpu::spmv_semiring<cpu::MinPlus>(g, d, unord, 8, SegSumMode::kSpeculative);
-  cpu::spmv_semiring<cpu::MinPlus>(g, d, serial, 8, SegSumMode::kSerialFold);
-  ASSERT_TRUE(bitwise_equal(ord, unord));
-  ASSERT_TRUE(bitwise_equal(ord, serial));
+  std::vector<real_t> source(static_cast<std::size_t>(A.rows),
+                             std::numeric_limits<real_t>::infinity());
+  source[0] = 0;
+  std::vector<real_t> dense = seeded(static_cast<std::size_t>(A.rows), 19);
+  for (auto& v : dense) v = std::abs(v) * 10.0;
+  for (const auto& d : {source, dense}) {
+    std::vector<real_t> ord(d.size()), unord(d.size());
+    ASSERT_TRUE(apply_in_order(
+        [&] { cpu::spmv_semiring<cpu::MinPlus>(g, d, ord, 8); }));
+    ASSERT_TRUE(bitwise_equal(ord, minplus_reference(A, d)));
+    for (int rep = 0; rep < kSemiringPooledReps; ++rep) {
+      cpu::spmv_semiring<cpu::MinPlus>(g, d, unord, 8);
+      ASSERT_TRUE(bitwise_equal(ord, unord)) << "rep " << rep;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Reproducibility and numerical agreement with the legacy paths.
+// Reproducibility and numerical agreement with the CSR reference.
 
 TEST(SegSumModes, RunToRunBitwiseReproducible) {
   const auto A = gen::powerlaw(800, 800, 6, 2.2, 0.4, 17);
   const auto x = seeded(static_cast<std::size_t>(A.cols), 21);
-  cpu::CpuSpmv eng(build(A), 16, core::ColStream::kAuto,
-                   SegSumMode::kSpeculative);
+  cpu::CpuSpmv eng(build(A), 16);
   std::vector<real_t> first(static_cast<std::size_t>(A.rows));
   eng.spmv(x, first);
   for (int rep = 0; rep < 5; ++rep) {
@@ -228,33 +264,20 @@ TEST(SegSumModes, RunToRunBitwiseReproducible) {
   }
 }
 
-TEST(SegSumModes, SpeculativeMatchesSerialFoldAndCsrWithinTolerance) {
+TEST(SegSumModes, SpeculativeMatchesCsrWithinTolerance) {
   // The tree combine reassociates the carry sum, so bits may differ from
-  // the serial fold — but both must stay within a scaled tolerance of the
-  // CSR reference and of each other.
+  // the CSR row loop's — but only within a scaled tolerance.
   for (const auto& A : fixture_matrices()) {
     const auto x = seeded(static_cast<std::size_t>(A.cols), 33);
     std::vector<real_t> want(static_cast<std::size_t>(A.rows)),
-        spec(want.size()), serial(want.size());
+        spec(want.size());
     fmt::Csr::from_coo(A).spmv(x, want);
-    cpu::CpuSpmv(build(A), 8, core::ColStream::kAuto, SegSumMode::kSpeculative)
-        .spmv(x, spec);
-    cpu::CpuSpmv(build(A), 8, core::ColStream::kAuto, SegSumMode::kSerialFold)
-        .spmv(x, serial);
+    cpu::CpuSpmv(build(A), 8).spmv(x, spec);
     for (std::size_t i = 0; i < want.size(); ++i) {
       const double scale = std::max(1.0, std::abs(want[i]));
       ASSERT_NEAR(spec[i], want[i], 1e-9 * scale) << "row " << i;
-      ASSERT_NEAR(spec[i], serial[i], 1e-9 * scale) << "row " << i;
     }
   }
-}
-
-TEST(SegSumModes, EnvOverrideSelectsMode) {
-  EXPECT_EQ(cpu::to_string(SegSumMode::kSpeculative),
-            std::string("speculative"));
-  EXPECT_EQ(cpu::to_string(SegSumMode::kSpeculativeOrdered),
-            std::string("ordered"));
-  EXPECT_EQ(cpu::to_string(SegSumMode::kSerialFold), std::string("serial"));
 }
 
 // ---------------------------------------------------------------------------

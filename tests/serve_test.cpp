@@ -139,7 +139,7 @@ TEST_F(ServeTest, SpmvMatchesCsrOracleBitwise) {
 // The pow2 oracle tests above hold for ANY summation order, so they cannot
 // tell which kernel answered.  A fem_mesh with arbitrary doubles can: every
 // served reply, plain or verified, must equal CpuSpmv::spmv bitwise at the
-// server's (apply threads, SIMD level, segmented-sum mode).
+// server's (apply threads, SIMD level).
 TEST_F(ServeTest, SpmvIsBitwiseCpuSpmvOnNonPow2FemMesh) {
   const auto a = gen::fem_mesh(1200, 24, 3, 0.05, 0xFE11);
   std::vector<real_t> x(static_cast<std::size_t>(a.cols));
@@ -156,8 +156,7 @@ TEST_F(ServeTest, SpmvIsBitwiseCpuSpmvOnNonPow2FemMesh) {
 
     cpu::CpuSpmv want_eng(std::make_shared<const core::Bccoo>(
                               core::Bccoo::build(a, core::FormatConfig{})),
-                          threads, core::ColStream::kAuto,
-                          cpu::SegSumMode::kSpeculative);
+                          threads);
     std::vector<real_t> want(static_cast<std::size_t>(a.rows));
     want_eng.spmv(x, want);
 

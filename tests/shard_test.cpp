@@ -28,7 +28,6 @@
 namespace yaspmv {
 namespace {
 
-using cpu::SegSumMode;
 using cpu::simd::Level;
 
 struct LevelGuard {
@@ -85,13 +84,11 @@ TEST(ShardExecution, ShardedMatchesUnshardedBitwise) {
       for (unsigned threads : {1u, 4u, 16u}) {
         std::vector<real_t> base(static_cast<std::size_t>(A.rows));
         cpu::CpuSpmv e1(m, threads, core::ColStream::kAuto,
-                        SegSumMode::kSpeculative,
                         cpu::grid::KernelDispatch::kAuto, 1);
         e1.spmv(x, base);
         for (unsigned shards : {2u, 4u}) {
           std::vector<real_t> got(base.size());
           cpu::CpuSpmv es(m, threads, core::ColStream::kAuto,
-                          SegSumMode::kSpeculative,
                           cpu::grid::KernelDispatch::kAuto, shards);
           EXPECT_EQ(es.shard_count(), shards);
           es.spmv(x, got);
@@ -118,10 +115,8 @@ TEST(ShardExecution, ShardedMatchesUnshardedBlockedAndSliced) {
       std::vector<real_t> base(static_cast<std::size_t>(A.rows)),
           got(static_cast<std::size_t>(A.rows));
       cpu::CpuSpmv e1(m, threads, core::ColStream::kAuto,
-                      SegSumMode::kSpeculative,
                       cpu::grid::KernelDispatch::kAuto, 1);
       cpu::CpuSpmv e4(m, threads, core::ColStream::kAuto,
-                      SegSumMode::kSpeculative,
                       cpu::grid::KernelDispatch::kAuto, 4);
       e1.spmv(x, base);
       e4.spmv(x, got);
@@ -136,7 +131,6 @@ TEST(ShardExecution, RunToRunBitwiseReproducible) {
   const auto A = gen::powerlaw(800, 800, 6, 2.2, 0.4, 17);
   const auto x = seeded(static_cast<std::size_t>(A.cols), 21);
   cpu::CpuSpmv eng(build(A), 16, core::ColStream::kAuto,
-                   SegSumMode::kSpeculative,
                    cpu::grid::KernelDispatch::kAuto, 4);
   std::vector<real_t> first(static_cast<std::size_t>(A.rows));
   eng.spmv(x, first);
@@ -182,7 +176,7 @@ TEST(ShardExecution, HaloColumnRangesCoverTheShardsBlocks) {
   }
   // The engine mirrors the same ranges per shard.
   cpu::CpuSpmv eng(std::make_shared<const core::Bccoo>(f), 2,
-                   core::ColStream::kAuto, SegSumMode::kSpeculative,
+                   core::ColStream::kAuto,
                    cpu::grid::KernelDispatch::kAuto, 4);
   for (unsigned s = 0; s < eng.shard_count(); ++s) {
     const auto [c0, c1] = eng.shard_col_range(s);
@@ -195,12 +189,12 @@ TEST(ShardExecution, ShardCountClampsAndDefaults) {
   const auto A = gen::stencil2d(16, 16, false, 1);
   const auto m = build(A);
   // shards=0 resolves to the probed NUMA domain count (>= 1).
-  cpu::CpuSpmv probe(m, 2, core::ColStream::kAuto, SegSumMode::kSpeculative,
+  cpu::CpuSpmv probe(m, 2, core::ColStream::kAuto,
                      cpu::grid::KernelDispatch::kAuto, 0);
   EXPECT_GE(probe.shard_count(), 1u);
   EXPECT_EQ(probe.shard_count(), default_shards());
   // Absurd counts clamp to kMaxShards instead of exploding the grid.
-  cpu::CpuSpmv wide(m, 2, core::ColStream::kAuto, SegSumMode::kSpeculative,
+  cpu::CpuSpmv wide(m, 2, core::ColStream::kAuto,
                     cpu::grid::KernelDispatch::kAuto, 999);
   EXPECT_LE(wide.shard_count(), kMaxShards);
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "yaspmv/core/engine.hpp"
 #include "yaspmv/gen/suite.hpp"
 #include "yaspmv/util/rng.hpp"
 
@@ -70,6 +71,28 @@ void check_cg_solves_poisson(Op& A, index_t n, const std::string& what) {
   }
 }
 
+/// Simulated-device operator: accumulates the kernel statistics so a solve
+/// can be performance-modeled end to end.
+class SimOperator {
+ public:
+  SimOperator(const fmt::Coo& a, const core::FormatConfig& fc,
+              const core::ExecConfig& ec, sim::DeviceSpec dev)
+      : eng_(a, fc, ec, std::move(dev)) {}
+  index_t rows() const { return eng_.format().rows; }
+  index_t cols() const { return eng_.format().cols; }
+  void apply(std::span<const real_t> x, std::span<real_t> y) {
+    stats_ += eng_.run(x, y).stats;
+    applies_++;
+  }
+  const sim::KernelStats& stats() const { return stats_; }
+  std::size_t applies() const { return applies_; }
+
+ private:
+  core::SpmvEngine eng_;
+  sim::KernelStats stats_;
+  std::size_t applies_ = 0;
+};
+
 TEST(Solvers, CgOnEveryBackend) {
   const index_t n = 400;
   const auto A = poisson1d(n);
@@ -84,7 +107,7 @@ TEST(Solvers, CgOnEveryBackend) {
   {
     core::FormatConfig fc;
     fc.block_h = 2;
-    solver::SimOperator op(A, fc, {}, sim::gtx680());
+    SimOperator op(A, fc, {}, sim::gtx680());
     check_cg_solves_poisson(op, n, "sim");
     EXPECT_GT(op.applies(), 1u);
     EXPECT_GT(op.stats().global_load_bytes, 0u);

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 #include "yaspmv/core/engine.hpp"
 #include "yaspmv/formats/blocked.hpp"
 #include "yaspmv/formats/csr.hpp"
@@ -137,6 +141,58 @@ TEST(Tuner, NativeMeasurementFillsMeasuredColumns) {
   const auto rp = tune::tune(A, sim::gtx680(), plain);
   EXPECT_EQ(rp.best.format.to_string(), r.best.format.to_string());
   EXPECT_EQ(rp.best.exec.to_string(), r.best.exec.to_string());
+}
+
+/// Sets (or, with nullptr, unsets) one environment variable for a scope
+/// and restores its previous value or absence on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    if (value) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (saved_) {
+      ::setenv(name_, saved_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+// The plan a tune picks is a function of the matrix and the device alone.
+// YASPMV_SEGSUM=serial once made the tuner rank every candidate as a
+// generic kernel and pick another plan (4x3 generic instead of 2x2
+// grid/w2h2/short here), which the plan cache then kept serving.
+TEST(Tuner, SegsumEnvironmentDoesNotChangeThePlan) {
+  const auto& e = gen::suite_entry("Protein");
+  const auto A = e.make(e.bench_scale * 0.05);
+  tune::TuneResult plain, with_env;
+  {
+    ScopedEnv unset("YASPMV_SEGSUM", nullptr);
+    plain = tune::tune(A, sim::gtx680());
+  }
+  {
+    ScopedEnv serial("YASPMV_SEGSUM", "serial");
+    with_env = tune::tune(A, sim::gtx680());
+  }
+  EXPECT_EQ(with_env.best.format, plain.best.format)
+      << with_env.best.format.to_string() << " vs "
+      << plain.best.format.to_string();
+  EXPECT_EQ(with_env.best.exec, plain.best.exec)
+      << with_env.best.exec.to_string() << " vs "
+      << plain.best.exec.to_string();
+  EXPECT_EQ(with_env.best.kernel, plain.best.kernel);
 }
 
 }  // namespace

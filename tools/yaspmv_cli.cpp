@@ -57,7 +57,7 @@ int usage() {
       "          kernel; [--no-delta-decode] = --cols=raw escape hatch\n"
       "          [--shards=N]  NUMA locality domains for the chunk/combine\n"
       "          passes (0 = probe the machine / YASPMV_NUMA; default 1;\n"
-      "          bitwise identical to 1 shard at fixed threads+mode)\n"
+      "          bitwise identical to 1 shard at fixed threads+level)\n"
       "          [--stream-file=<file.bccoo>]  out-of-core mode: mmap the\n"
       "          container and stream the apply tile by tile (nothing\n"
       "          matrix-sized resident; bitwise equal to the in-memory\n"
@@ -453,7 +453,7 @@ int cmd_spmv(const Args& args) {
   const auto kd = kdreq == "generic" ? cpu::grid::KernelDispatch::kGeneric
                                      : cpu::grid::KernelDispatch::kAuto;
   const auto shards = static_cast<unsigned>(args.get_int("shards", 1));
-  cpu::CpuSpmv eng(m, threads, cs, cpu::default_segsum_mode(), kd, shards);
+  cpu::CpuSpmv eng(m, threads, cs, kd, shards);
   SplitMix64 rng(0x5eed);
   std::vector<real_t> x(static_cast<std::size_t>(m->cols));
   for (auto& v : x) v = rng.next_double(-1, 1);
