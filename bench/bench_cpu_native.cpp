@@ -111,16 +111,6 @@ int main(int argc, char** argv) {
   // small-block grid configs, at 1 and 16 requested threads.
   double spec_log_1t = 0.0, spec_log_16t = 0.0;
   int spec_count = 0;
-  // Geomean of the 2-shard-over-1-shard speedup at the fixed shard-series
-  // thread count.  On a single-node host sharding is placement-only, so
-  // this is expected to sit at ~1.0x — the series documents that honestly;
-  // the win needs real cross-node bandwidth asymmetry.
-  double shard_log_sum = 0.0;
-  int shard_count_n = 0;
-  const std::vector<unsigned> shard_counts{1, 2, 4};
-  // Fixed thread count for the series, capped at the hardware so the ratio
-  // measures placement and not oversubscription-scheduler noise.
-  const unsigned shard_threads = std::min(4u, default_workers());
 
   for (const auto& name : names) {
     const auto& e = gen::suite_entry(name);
@@ -252,30 +242,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Shard-scaling series: the same speculative engine at a fixed thread
-    // count, with shard counts {1,2,4}.  Sharding changes placement and
-    // claim order only (the chunk grid, fix-up tree and combine order are
-    // shard-invariant — shard_test asserts bitwise equality), so any delta
-    // here is pure memory locality.
-    std::vector<double> sh_gf, sh_speedup;
-    double shard_speedup_2s = 0.0;
-    if (do_scaling) {
-      double t_1shard = 0.0;
-      for (const unsigned S : shard_counts) {
-        cpu::CpuSpmv eng(m_scalar, shard_threads, core::ColStream::kRaw,
-                         cpu::grid::KernelDispatch::kAuto, S);
-        const double t_s = time_ms([&] { eng.spmv(x, y); });
-        if (S == 1) t_1shard = t_s;
-        sh_gf.push_back(flops / (t_s * 1e6));
-        sh_speedup.push_back(t_s > 0 ? t_1shard / t_s : 0.0);
-        if (S == 2) shard_speedup_2s = sh_speedup.back();
-      }
-      if (shard_speedup_2s > 0) {
-        shard_log_sum += std::log(shard_speedup_2s);
-        ++shard_count_n;
-      }
-    }
-
     // Auto-tuning time: the identical pruned sweep, candidates evaluated
     // serially vs concurrently on the WorkPool (results are defined to be
     // identical — see TuneOptions::tune_workers).
@@ -390,23 +356,6 @@ int main(int argc, char** argv) {
       w.key("parallel_efficiency_16t").value(eff_16t);
       w.end_object();
     }
-    if (do_scaling) {
-      w.key("shard_scaling").begin_object();
-      w.key("threads").value(static_cast<long long>(shard_threads));
-      w.key("shards").begin_array();
-      for (const unsigned S : shard_counts) {
-        w.value(static_cast<long long>(S));
-      }
-      w.end_array();
-      w.key("gflops").begin_array();
-      for (const double d : sh_gf) w.value(d);
-      w.end_array();
-      w.key("speedup").begin_array();
-      for (const double d : sh_speedup) w.value(d);
-      w.end_array();
-      w.key("speedup_2s").value(shard_speedup_2s);
-      w.end_object();
-    }
     if (do_tune) {
       w.key("tune_seconds_serial").value(tune_serial);
       w.key("tune_seconds_pooled").value(tune_pooled);
@@ -430,16 +379,6 @@ int main(int argc, char** argv) {
           : 0.0;
   w.key("specialized_speedup_1t_geomean").value(spec_geo_1t);
   w.key("specialized_speedup_16t_geomean").value(spec_geo_16t);
-  const double shard_geomean =
-      shard_count_n > 0
-          ? std::exp(shard_log_sum / static_cast<double>(shard_count_n))
-          : 0.0;
-  if (do_scaling) {
-    w.key("shard_speedup_2s_geomean").value(shard_geomean);
-    // 1 = single NUMA node: sharding is placement-only on this host and
-    // the geomean above is expected (and gated) to be ~1.0x, not a win.
-    w.key("shard_domains").value(static_cast<long long>(default_shards()));
-  }
 
   // Out-of-core streaming series: one representative matrix written to a
   // .bccoo container, applied through the mmapped tile-streaming engine,
@@ -515,11 +454,6 @@ int main(int argc, char** argv) {
             << "specialized-kernel speedup geomean (small-block, " << spec_count
             << " matrices): " << spec_geo_1t << "x at 1T, " << spec_geo_16t
             << "x at 16T\n";
-  if (do_scaling) {
-    std::cout << "2-shard speedup geomean at " << shard_threads
-              << "T (placement-only on " << default_shards()
-              << " NUMA domain(s)): " << shard_geomean << "x\n";
-  }
   std::cout << "out-of-core stream: " << oo_stream_gbps << " GB/s vs "
             << oo_disk_gbps << " GB/s sequential read ("
             << (oo_disk_gbps > 0 ? oo_stream_gbps / oo_disk_gbps * 100.0

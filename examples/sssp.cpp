@@ -5,6 +5,7 @@
 //   ./sssp [--nodes=20000] [--degree=4] [--source=0] [--threads=N]
 #include <cmath>
 #include <iostream>
+#include <memory>
 
 #include "yaspmv/cpu/semiring.hpp"
 #include "yaspmv/gen/suite.hpp"
@@ -44,7 +45,10 @@ int main(int argc, char** argv) {
   // Relaxation matrix is A^T: edge u->v stored at (v, u).
   const auto At = fmt::Coo::from_triplets(n, n, std::move(dst),
                                           std::move(src), std::move(w));
-  const auto m = core::Bccoo::build(At, {});
+  // One engine for every relaxation: the chunk grid, panels and fix-up
+  // scratch are built here, not per round.
+  cpu::CpuSpmv eng(std::make_shared<const core::Bccoo>(core::Bccoo::build(At, {})),
+                   threads);
   std::cout << "SSSP: " << n << " nodes, " << At.nnz() << " edges, source "
             << source << "\n";
 
@@ -56,7 +60,7 @@ int main(int argc, char** argv) {
   Stopwatch sw;
   long rounds = 0;
   for (; rounds < n; ++rounds) {
-    cpu::spmv_semiring<cpu::MinPlus>(m, d, nd, threads);
+    eng.spmv_semiring<cpu::MinPlus>(d, nd);
     bool changed = false;
     for (std::size_t i = 0; i < d.size(); ++i) {
       if (nd[i] < d[i]) {

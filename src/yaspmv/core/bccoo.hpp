@@ -345,45 +345,6 @@ struct Bccoo {
     return {static_cast<index_t>(lo), static_cast<index_t>(hi)};
   }
 
-  /// Contiguous shard boundaries over the block stream for `nshards`
-  /// locality domains: nshards + 1 monotone block indices, interior ones
-  /// rounded down to the decode-tile granularity exactly like the executor's
-  /// chunk grid.  Blocks are stored slice-major (the vertical slices are
-  /// stacked top-down), so equal block ranges are equal *slice-group*
-  /// ranges up to one slice of skew — the shard decomposition is a pure
-  /// function of the format, never of live thread count, which is what
-  /// keeps sharded execution a scheduling-only choice.
-  std::vector<std::size_t> shard_block_starts(unsigned nshards) const {
-    if (nshards == 0) nshards = 1;
-    std::vector<std::size_t> starts(static_cast<std::size_t>(nshards) + 1);
-    for (unsigned s = 0; s <= nshards; ++s) {
-      std::size_t b = static_cast<std::size_t>(s) * num_blocks / nshards;
-      if (s != 0 && s != nshards) b = b / kColTile * kColTile;
-      starts[s] = b;
-    }
-    return starts;
-  }
-
-  /// Half-open original-column range [lo, hi) the blocks of [b0, b1) read
-  /// from x — a shard's halo.  One scan of the column stream; callers cache
-  /// the result (CpuSpmv computes it once per engine for its shard grid).
-  std::pair<index_t, index_t> block_col_range(std::size_t b0,
-                                              std::size_t b1) const {
-    b1 = std::min(b1, num_blocks);
-    if (b0 >= b1) return {0, 0};
-    index_t bc_lo = col_index[b0], bc_hi = col_index[b0];
-    for (std::size_t i = b0 + 1; i < b1; ++i) {
-      bc_lo = std::min(bc_lo, col_index[i]);
-      bc_hi = std::max(bc_hi, col_index[i]);
-    }
-    const auto bw = static_cast<std::int64_t>(cfg.block_w);
-    const auto lo = static_cast<std::int64_t>(bc_lo) * bw;
-    const auto hi =
-        std::min<std::int64_t>(cols, (static_cast<std::int64_t>(bc_hi) + 1) * bw);
-    return {static_cast<index_t>(std::min<std::int64_t>(lo, cols)),
-            static_cast<index_t>(hi)};
-  }
-
   /// Materializes the ABFT column checksums from the stored blocks.  The
   /// accumulation is serial in block order, so the plan is byte-identical
   /// for *every* worker count (stronger than the builder's per-worker-count

@@ -1,13 +1,9 @@
-// Compile-time kernel specialization grid for the native BCCOO apply.
+// The native BCCOO chunk kernels: one template body, run_chunk<BW, BH, CS>
+// (and run_spmm_chunk<CS> for the fused SpMM pass), and its instances.
 //
 // The tuner prunes the block-dimension space to a handful of configs
-// (tune/tuner.cpp: pruned_block_dims, the paper's Section 5 pruning) but the
-// generic CpuSpmv executes every one of them through a single chunk kernel
-// with runtime `block_w`/`block_h` loop bounds, an indirect dense-dot call
-// per block row, and a column-stream switch per decode tile.  On the
-// small-block configs that win on short-row matrices those branches ARE the
-// inner loop.  This header instantiates one specialized chunk kernel per
-// point of the grid
+// (tune/tuner.cpp: pruned_block_dims, the paper's Section 5 pruning).  This
+// header instantiates one specialized chunk kernel per point of the grid
 //
 //     block_w in {1, 2, 4, 8}  x  block_h in {1, 2, 4}  x
 //     ColStream in {raw, short, delta}
@@ -15,21 +11,25 @@
 // with the block loops fully unrolled at compile time: a fixed
 // `block_h`-row accumulator tile, width-`block_w` x-gathers feeding the
 // fixed-width dense dots of simd.hpp (simd::dot_dense_fixed), and no
-// runtime dims anywhere in the hot loop.  The dispatch layer in
-// cpu/spmv.hpp routes an exact (bw, bh, stream) match here and falls back
-// to the generic kernel otherwise — configs outside the grid and engines
-// pinned to KernelDispatch::kGeneric keep the generic path.
+// runtime dims anywhere in the hot loop.  The generic kernel is the same
+// template's runtime instance, run_chunk<kRuntime, kRuntime, kAuto>: it
+// reads `block_w`/`block_h` from the format as loop bounds, makes an
+// indirect dense-dot call per block row, and switches on the column stream
+// per decode tile.  On the small-block configs that win on short-row
+// matrices those branches ARE the inner loop, which is what the grid
+// instances remove.  The dispatch layer in cpu/spmv.hpp routes an exact
+// (bw, bh, stream) match to its grid instance; configs outside the grid and
+// engines pinned to KernelDispatch::kGeneric run the runtime instance.
 //
-// Bitwise-parity contract: every kernel in the grid mirrors the generic
-// `CpuSpmv::process_chunk` *operation for operation* — same accumulation
-// order, same short-segment heuristic on the scalar path, same tile
-// splits, same dispatched SIMD primitives wherever the levels'
-// expressions differ (see dot_dense_fixed's W=8 note).  At a fixed
-// (threads, simd level) a specialized kernel produces bits identical to
-// the generic one; kernel_grid_test sweeps every instantiation to enforce
-// this.  Do not "optimise" a kernel body here in a way that reassociates
-// floating-point work — that forks the determinism contract this grid
-// extends.
+// Bitwise-parity contract: every instance performs the same operations in
+// the same order — same accumulation order, same short-segment heuristic
+// on the scalar path, same tile splits, same dispatched SIMD primitives
+// wherever the levels' expressions differ (see dot_dense_fixed's W=8
+// note).  At a fixed (threads, simd level) a grid instance produces bits
+// identical to the runtime instance; kernel_grid_test sweeps every
+// instantiation to enforce this.  Do not "optimise" the body in a way that
+// reassociates floating-point work — that forks the determinism contract
+// this grid extends.
 //
 // The grid is also the staging point for later emitting the same
 // instantiations through codegen/opencl: each GridEntry's id names the
@@ -50,14 +50,14 @@
 namespace yaspmv::cpu::grid {
 
 /// Dispatch knob for CpuSpmv/CpuSpmm: kAuto routes exact grid matches to
-/// their specialized instantiation, kGeneric pins the generic kernel (the
+/// their specialized instantiation, kGeneric pins the runtime instance (the
 /// bench baseline and the parity test's reference).
 enum class KernelDispatch : std::uint8_t { kAuto = 0, kGeneric = 1 };
 
-/// Everything a specialized chunk kernel needs from the engine, bundled so
-/// the kernels stay free functions (function-pointer table entries) instead
-/// of members.  Built per apply by CpuSpmv::spmv — pointers into the
-/// engine's per-call state, never owned here.
+/// Everything a chunk kernel needs from the engine, bundled so the kernels
+/// stay free functions (function-pointer table entries) instead of members.
+/// Built per apply by CpuSpmv::spmv — pointers into the engine's per-call
+/// state, never owned here.
 struct ChunkCtx {
   const core::Bccoo* fmt;
   const std::size_t* chunk_start;   ///< nchunks+1 block boundaries
@@ -66,67 +66,105 @@ struct ChunkCtx {
   real_t* carries;                  ///< per chunk x block_h trailing carries
   std::size_t pad_bcol;             ///< padded last block column (or -1)
   const real_t* xtail;              ///< tail-redirect scratch (pad case only)
+  core::ColStream cs;               ///< resolved column stream
 };
 
 using ChunkKernelFn = void (*)(const ChunkCtx&, std::size_t c,
                                const real_t* x, real_t* out);
 
-/// Column source of decode tile [t0, t1) with the stream fixed at compile
-/// time — the `if constexpr` twin of CpuSpmv::tile_cols.  Raw mode returns
-/// a pointer straight into col_index (buf and the decode kernels unused);
-/// compressed modes expand into `buf` exactly like the generic path.
+/// Template argument that makes a block dimension a run-time value: the
+/// runtime instance run_chunk<kRuntime, kRuntime, ColStream::kAuto> reads
+/// block width and height from the format and the column stream from the
+/// context.
+inline constexpr int kRuntime = 0;
+
+/// Column source of decode tile [t0, t1) (t0 tile-aligned).  Raw mode
+/// returns a pointer straight into col_index; compressed modes expand the
+/// int16/u16 stream into `buf` (tile-local indexing either way — the caller
+/// reads tc[i - t0]).  CS == kAuto switches on the run-time stream `cs`
+/// once per tile; every other CS is fixed at compile time.
 template <core::ColStream CS>
-inline const index_t* tile_cols_fixed(const core::Bccoo& f, std::size_t t0,
-                                      std::size_t t1, index_t* buf,
-                                      simd::DecodeShortFn dshort,
-                                      simd::DecodeDeltaFn ddelta) {
-  if constexpr (CS == core::ColStream::kShort) {
-    (void)ddelta;
+inline const index_t* tile_cols(const core::Bccoo& f,
+                                [[maybe_unused]] core::ColStream cs,
+                                std::size_t t0, std::size_t t1,
+                                [[maybe_unused]] index_t* buf,
+                                [[maybe_unused]] simd::DecodeShortFn dshort,
+                                [[maybe_unused]] simd::DecodeDeltaFn ddelta) {
+  if constexpr (CS == core::ColStream::kAuto) {
+    switch (cs) {
+      case core::ColStream::kShort:
+        return tile_cols<core::ColStream::kShort>(f, cs, t0, t1, buf, dshort,
+                                                  ddelta);
+      case core::ColStream::kDelta:
+        return tile_cols<core::ColStream::kDelta>(f, cs, t0, t1, buf, dshort,
+                                                  ddelta);
+      default:
+        return f.col_index.data() + t0;
+    }
+  } else if constexpr (CS == core::ColStream::kShort) {
     dshort(f.short_cols.data() + t0, buf, t1 - t0);
     return buf;
   } else if constexpr (CS == core::ColStream::kDelta) {
-    (void)dshort;
     const std::size_t t = t0 / core::Bccoo::kColTile;
     ddelta(f.delta_cols.data() + t0, t1 - t0,
            f.delta_escapes.data() + f.delta_escape_start[t], buf);
     return buf;
   } else {
-    (void)buf;
-    (void)dshort;
-    (void)ddelta;
     return f.col_index.data() + t0;
   }
 }
 
-/// One specialized chunk kernel: CpuSpmv::process_chunk with (block_w,
-/// block_h, stream) burned in.  Every branch of the generic body is
-/// mirrored — including the scalar path's short-segment heuristic, whose
-/// two loops produce DIFFERENT bits (single-pass accumulates per non-zero,
-/// the piece loop reduces per piece through the SIMD dot), so the
-/// specialized kernel must take the same branch the generic one would.
+/// The chunk kernel: a sequential segmented sum over chunk c's blocks that
+/// assigns every interior segment and defers its first partial sum and
+/// trailing carry to the fix-up.  A grid instance burns (block_w, block_h,
+/// stream) in; the runtime instance (BW == BH == kRuntime, CS == kAuto)
+/// reads them at run time and serves every other config.  Both walk the
+/// same operations in the same order, which is what keeps them bitwise
+/// identical: the scalar path's short-segment heuristic (whose two loops
+/// produce DIFFERENT bits — single-pass accumulates per non-zero, the
+/// piece loop reduces per piece through the SIMD dot), the tile splits,
+/// and a dense dot per block row that is the dispatched dot_dense() call
+/// at run-time widths and its compile-time twin in a grid instance.
 template <int BW, int BH, core::ColStream CS>
 void run_chunk(const ChunkCtx& ctx, std::size_t c, const real_t* x,
                real_t* out) {
-  static_assert((BW == 1 || BW == 2 || BW == 4 || BW == 8) &&
-                    (BH == 1 || BH == 2 || BH == 4),
+  constexpr bool kFixed = BW != kRuntime;
+  static_assert(kFixed ? (BW == 1 || BW == 2 || BW == 4 || BW == 8) &&
+                             (BH == 1 || BH == 2 || BH == 4) &&
+                             CS != core::ColStream::kAuto
+                       : BH == kRuntime && CS == core::ColStream::kAuto,
                 "outside the tuner's pruned grid — extend deliberately");
   const core::Bccoo& f = *ctx.fmt;
+  const std::size_t bw =
+      kFixed ? static_cast<std::size_t>(BW)
+             : static_cast<std::size_t>(f.cfg.block_w);
+  const std::size_t bh =
+      kFixed ? static_cast<std::size_t>(BH)
+             : static_cast<std::size_t>(f.cfg.block_h);
   const std::size_t b0 = ctx.chunk_start[c];
   const std::size_t b1 = ctx.chunk_start[c + 1];
   index_t seg = ctx.chunk_first_seg[c];
   const std::uint32_t* words = f.bit_flags.words().data();
   simd::DecodeShortFn dshort = nullptr;
   simd::DecodeDeltaFn ddelta = nullptr;
-  if constexpr (CS == core::ColStream::kShort) dshort = simd::decode_short();
-  if constexpr (CS == core::ColStream::kDelta) ddelta = simd::decode_delta();
+  if constexpr (CS == core::ColStream::kShort || !kFixed) {
+    dshort = simd::decode_short();
+  }
+  if constexpr (CS == core::ColStream::kDelta || !kFixed) {
+    ddelta = simd::decode_delta();
+  }
+  // Per-tile decode scratch: 2 KB on the worker's stack, L1-resident.
   index_t buf[core::Bccoo::kColTile];
   constexpr std::size_t kTile = core::Bccoo::kColTile;
-  if constexpr (BW == 1 && BH == 1) {
+  if (bw == 1 && bh == 1) {  // a compile-time constant in a grid instance
+    // Scalar blocks: walk the chunk decode tile by decode tile.  Scalar
+    // blocks are never padded, so x is read in place.
     const real_t* vals = f.value_rows[0].data();
-    // Same chunk-shape heuristic as the generic scalar path: short average
-    // segments take the single-pass loop, long ones the piece loop.  The
-    // branch depends only on the format and the chunk decomposition, so
-    // specialized and generic always agree on it.
+    // Chunks whose *average* segment is short (power-law matrices) take a
+    // single-pass loop — one bit test per non-zero beats a per-segment
+    // word scan + kernel call when segments hold only a few non-zeros.
+    // The choice depends only on the format and the chunk decomposition
+    // (i.e. the requested thread count), so determinism is unaffected.
     const std::size_t stops_c =
         static_cast<std::size_t>(ctx.chunk_first_seg[c + 1]) -
         static_cast<std::size_t>(ctx.chunk_first_seg[c]);
@@ -135,7 +173,8 @@ void run_chunk(const ChunkCtx& ctx, std::size_t c, const real_t* x,
       bool fs = true;
       for (std::size_t t0 = b0; t0 < b1; t0 += kTile) {
         const std::size_t t1 = std::min(t0 + kTile, b1);
-        const index_t* tc = tile_cols_fixed<CS>(f, t0, t1, buf, dshort, ddelta);
+        const index_t* tc =
+            tile_cols<CS>(f, ctx.cs, t0, t1, buf, dshort, ddelta);
         for (std::size_t i = t0; i < t1; ++i) {
           acc += vals[i] * x[static_cast<std::size_t>(tc[i - t0])];
           if (!((words[i >> 5] >> (i & 31u)) & 1u)) {  // row stop
@@ -154,12 +193,20 @@ void run_chunk(const ChunkCtx& ctx, std::size_t c, const real_t* x,
       ctx.carries[c] = acc;
       return;
     }
+    // Piece-based loop: within a tile, segment piece by segment piece —
+    // the packed bit flags are scanned a word at a time for the next row
+    // stop, and each piece is a gathered dot product on the SIMD kernel.
+    // A piece crossing a tile boundary is split there and accumulated
+    // sequentially (part += dot(subpiece)); the split points depend only
+    // on the format and the chunk decomposition, never the column mode,
+    // which is what keeps raw/short/delta bitwise identical.
     const simd::DotRangeFn dot = simd::dot_range();
-    real_t part = 0.0;
+    real_t part = 0.0;  // running sum of the currently open piece
     bool first_stop = true;
     for (std::size_t t0 = b0; t0 < b1; t0 += kTile) {
       const std::size_t t1 = std::min(t0 + kTile, b1);
-      const index_t* tc = tile_cols_fixed<CS>(f, t0, t1, buf, dshort, ddelta);
+      const index_t* tc =
+          tile_cols<CS>(f, ctx.cs, t0, t1, buf, dshort, ddelta);
       const real_t* tv = vals + t0;
       const std::size_t tn = t1 - t0;
       std::size_t i = t0;
@@ -175,6 +222,7 @@ void run_chunk(const ChunkCtx& ctx, std::size_t c, const real_t* x,
             part + simd::dot_piece(dot, tv, tc, x, i - t0, stop + 1 - t0, tn);
         part = 0.0;
         if (first_stop) {
+          // May continue from the previous chunk: defer to the fix-up.
           ctx.firsts[c] = s;
           first_stop = false;
         } else {
@@ -187,56 +235,67 @@ void run_chunk(const ChunkCtx& ctx, std::size_t c, const real_t* x,
     }
     ctx.carries[c] = part;
     return;
-  } else {
-    // Blocked body: the value-row base pointers are hoisted out of the
-    // block loop (the generic kernel re-derives f.value_rows[k].data()
-    // per block per row) and both the k-loop trip count and the dense-dot
-    // width are compile-time constants, so the whole accumulator update
-    // flattens into straight-line multiply-adds.
-    simd::DotDenseFn bdot = nullptr;
-    if constexpr (BW == 2 || BW == 8) bdot = simd::dot_dense();
-    const real_t* vrow[BH];
-    for (int k = 0; k < BH; ++k) vrow[k] = f.value_rows[k].data();
-    real_t acc[BH] = {};
-    bool first_stop = true;
-    for (std::size_t t0 = b0; t0 < b1; t0 += kTile) {
-      const std::size_t t1 = std::min(t0 + kTile, b1);
-      const index_t* tc = tile_cols_fixed<CS>(f, t0, t1, buf, dshort, ddelta);
-      for (std::size_t i = t0; i < t1; ++i) {
-        const auto bcol = static_cast<std::size_t>(tc[i - t0]);
-        const real_t* xv =
-            bcol == ctx.pad_bcol ? ctx.xtail : x + bcol * BW;
-        if (i + 4 < t1) {
-          __builtin_prefetch(x + static_cast<std::size_t>(tc[i + 4 - t0]) * BW);
-        }
-        for (int k = 0; k < BH; ++k) {
-          acc[k] += simd::dot_dense_fixed<BW>(
-              vrow[k] + i * static_cast<std::size_t>(BW), xv, bdot);
-        }
-        if (!f.bit_flags.get(i)) {  // row stop
-          if (first_stop) {
-            for (int k = 0; k < BH; ++k) {
-              ctx.firsts[c * BH + static_cast<std::size_t>(k)] = acc[k];
-              acc[k] = 0.0;
-            }
-            first_stop = false;
-          } else {
-            const auto sbrow = static_cast<std::size_t>(
-                f.seg_to_block_row[static_cast<std::size_t>(seg)]);
-            for (int k = 0; k < BH; ++k) {
-              out[sbrow * BH + static_cast<std::size_t>(k)] = acc[k];
-              acc[k] = 0.0;
-            }
-          }
-          ++seg;
+  }
+  // Blocked body: a block_h-row accumulator tile (8 rows, the largest
+  // accepted block height, in the runtime instance) and one dense dot per
+  // block row.  The value-row base pointers are hoisted out of the block
+  // loop; a grid instance's trip counts and dot widths are compile-time
+  // constants, so its accumulator update flattens into straight-line
+  // multiply-adds.
+  simd::DotDenseFn bdot = nullptr;
+  if constexpr (!kFixed || BW == 2 || BW == 8) bdot = simd::dot_dense();
+  constexpr std::size_t kRows = kFixed ? static_cast<std::size_t>(BH) : 8;
+  const real_t* vrow[kRows];
+  for (std::size_t k = 0; k < bh; ++k) vrow[k] = f.value_rows[k].data();
+  real_t acc[kRows] = {};
+  bool first_stop = true;
+  for (std::size_t t0 = b0; t0 < b1; t0 += kTile) {
+    const std::size_t t1 = std::min(t0 + kTile, b1);
+    const index_t* tc = tile_cols<CS>(f, ctx.cs, t0, t1, buf, dshort, ddelta);
+    for (std::size_t i = t0; i < t1; ++i) {
+      const auto bcol = static_cast<std::size_t>(tc[i - t0]);
+      // Zero-copy with a tail redirect: every block column starts in
+      // bounds; only the (rare) padded last block column reads the
+      // ctor-padded xtail scratch instead of x.
+      const real_t* xv = bcol == ctx.pad_bcol ? ctx.xtail : x + bcol * bw;
+      if (i + 4 < t1) {
+        __builtin_prefetch(x + static_cast<std::size_t>(tc[i + 4 - t0]) * bw);
+      }
+      for (std::size_t k = 0; k < bh; ++k) {
+        const real_t* a = vrow[k] + i * bw;
+        if constexpr (kFixed) {
+          acc[k] += simd::dot_dense_fixed<BW>(a, xv, bdot);
+        } else {
+          acc[k] += bdot(a, xv, bw);
         }
       }
-    }
-    for (int k = 0; k < BH; ++k) {
-      ctx.carries[c * BH + static_cast<std::size_t>(k)] = acc[k];
+      if (!f.bit_flags.get(i)) {  // row stop
+        if (first_stop) {
+          // May continue from the previous chunk: defer to the fix-up.
+          for (std::size_t k = 0; k < bh; ++k) {
+            ctx.firsts[c * bh + k] = acc[k];
+            acc[k] = 0.0;
+          }
+          first_stop = false;
+        } else {
+          const auto sbrow = static_cast<std::size_t>(
+              f.seg_to_block_row[static_cast<std::size_t>(seg)]);
+          for (std::size_t k = 0; k < bh; ++k) {
+            out[sbrow * bh + k] = acc[k];
+            acc[k] = 0.0;
+          }
+        }
+        ++seg;
+      }
     }
   }
+  for (std::size_t k = 0; k < bh; ++k) ctx.carries[c * bh + k] = acc[k];
 }
+
+/// The runtime instance: KernelDispatch::kGeneric engines and every config
+/// outside the grid run it, under the kernel id "generic".
+inline constexpr ChunkKernelFn kGenericChunk =
+    &run_chunk<kRuntime, kRuntime, core::ColStream::kAuto>;
 
 /// One point of the specialization grid.  `id` is the stable kernel name
 /// recorded by the tuner / plan cache and reported by serve's kStats
@@ -320,9 +379,9 @@ inline const char* dispatch_kernel_id(int bw, int bh, core::ColStream cs) {
 }
 
 // ---------------------------------------------------------------------------
-// SpMM panel grid: CpuSpmm::fused_scalar's chunk body specialized over the
-// column stream (its block dims are fixed 1x1 by construction).  The panel
-// width k stays a runtime parameter — it is workload, not format.
+// SpMM panel grid: CpuSpmm::fused_scalar's chunk body over the column
+// stream (its block dims are fixed 1x1 by construction).  The panel width k
+// stays a runtime parameter — it is workload, not format.
 // ---------------------------------------------------------------------------
 
 struct SpmmCtx {
@@ -332,25 +391,33 @@ struct SpmmCtx {
   real_t* firsts;
   real_t* carries;
   real_t* acc_panel;
+  core::ColStream cs;  ///< resolved column stream
 };
 
 using SpmmKernelFn = void (*)(const SpmmCtx&, std::size_t c, const real_t* X,
                               real_t* Y, std::size_t kz, std::size_t colsz,
                               std::size_t rowsz);
 
-/// CpuSpmm::fused_scalar's chunk body with the column stream burned in —
-/// same accumulation order, same panel assignment, bitwise identical to the
-/// generic fused pass at a fixed (threads, simd level).
+/// The fused panel pass over chunk c: one decode per non-zero, k
+/// multiply-adds.  CS == kAuto is the runtime instance (the stream read
+/// from the context once per tile); the grid instances burn it in, with the
+/// same accumulation order and panel assignment, so both are bitwise
+/// identical at a fixed (threads, simd level).
 template <core::ColStream CS>
 void run_spmm_chunk(const SpmmCtx& ctx, std::size_t c, const real_t* X,
                     real_t* Y, std::size_t kz, std::size_t colsz,
                     std::size_t rowsz) {
+  constexpr bool kFixed = CS != core::ColStream::kAuto;
   const core::Bccoo& f = *ctx.fmt;
   const real_t* vals = f.value_rows[0].data();
   simd::DecodeShortFn dshort = nullptr;
   simd::DecodeDeltaFn ddelta = nullptr;
-  if constexpr (CS == core::ColStream::kShort) dshort = simd::decode_short();
-  if constexpr (CS == core::ColStream::kDelta) ddelta = simd::decode_delta();
+  if constexpr (CS == core::ColStream::kShort || !kFixed) {
+    dshort = simd::decode_short();
+  }
+  if constexpr (CS == core::ColStream::kDelta || !kFixed) {
+    ddelta = simd::decode_delta();
+  }
   real_t* acc = ctx.acc_panel + c * kz;
   std::fill(acc, acc + kz, 0.0);
   index_t seg = ctx.first_seg[c];
@@ -359,7 +426,7 @@ void run_spmm_chunk(const SpmmCtx& ctx, std::size_t c, const real_t* X,
   constexpr std::size_t kTile = core::Bccoo::kColTile;
   for (std::size_t t0 = ctx.starts[c]; t0 < ctx.starts[c + 1]; t0 += kTile) {
     const std::size_t t1 = std::min(t0 + kTile, ctx.starts[c + 1]);
-    const index_t* tc = tile_cols_fixed<CS>(f, t0, t1, buf, dshort, ddelta);
+    const index_t* tc = tile_cols<CS>(f, ctx.cs, t0, t1, buf, dshort, ddelta);
     for (std::size_t i = t0; i < t1; ++i) {
       const real_t v = vals[i];
       const auto col = static_cast<std::size_t>(tc[i - t0]);
@@ -412,5 +479,10 @@ inline const SpmmGridEntry* find_spmm(core::ColStream cs) {
   }
   return nullptr;
 }
+
+/// The fused pass's runtime instance (KernelDispatch::kGeneric), reported
+/// as "generic".
+inline constexpr SpmmKernelFn kGenericSpmmChunk =
+    &run_spmm_chunk<core::ColStream::kAuto>;
 
 }  // namespace yaspmv::cpu::grid

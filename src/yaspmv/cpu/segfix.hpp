@@ -2,10 +2,12 @@
 // Segmented Sum for Sparse Matrix-Vector Multiplication on Heterogeneous
 // Processors", arXiv 1504.06474).
 //
-// The chunk pass of the native backend computes, per chunk c, the sum of
+// The chunk pass of the native backend (CpuSpmv's chunk kernels, the
+// fused SpMM pass and semiring products) computes, per chunk c, the sum of
 // its *first* open segment (`firsts[c]`) and the running sum of its last
 // open segment (`carries[c]`), speculatively assuming a zero incoming
-// carry.  The paper repairs these with a serial adjacent-synchronization
+// carry.  The fix-up needs nothing but the chunk grid: the first-segment
+// ordinals and those two panels.  The paper repairs these with a serial adjacent-synchronization
 // chain, an O(nchunks) sequential tail after every parallel apply.  This
 // header repairs them with a three-pass fix-up whose only serial step is
 // O(threads):
@@ -72,21 +74,12 @@ inline constexpr std::size_t kParallelFixupGrain = 4096;
 ///   apply(c, inc)     writes chunk c's first-segment output from the
 ///                     incoming carry panel `inc` (caller owns the output
 ///                     layout: strided SpMM panels, semiring y, ...)
-///   shard_chunk_start optional shard-affinity hint: nshards + 1 monotone
-///                     chunk boundaries (CpuSpmv's shard grid).  Passes A
-///                     and C then claim groups shard-first via run_sharded
-///                     so each NUMA group repairs the carry panels it wrote
-///                     in the chunk pass.  Scheduling only — the group
-///                     bounds and the scan tree are untouched, so results
-///                     stay bitwise identical with or without the hint.
 template <class AccFn, class ApplyFn>
 void speculative_fixup(std::size_t nchunks, std::size_t lanes,
                        unsigned threads, const index_t* first_seg,
                        const real_t* firsts, const real_t* carries,
                        real_t zero, AccFn&& acc, ApplyFn&& apply,
-                       FixupScratch& s,
-                       const std::size_t* shard_chunk_start = nullptr,
-                       unsigned nshards = 1) {
+                       FixupScratch& s) {
   (void)firsts;  // applied by the caller's `apply`; kept for symmetry
   if (nchunks == 0) return;
   const std::size_t ngroups =
@@ -99,27 +92,9 @@ void speculative_fixup(std::size_t nchunks, std::size_t lanes,
   };
   const bool parallel =
       ngroups > 1 && nchunks * lanes >= kParallelFixupGrain;
-  // Shard boundaries mapped from chunk indices to group indices (group g
-  // covers chunks [group_lo(g), group_lo(g+1))): group-shard s starts at
-  // the first group whose chunk range begins at or after the shard's first
-  // chunk.  Derived from the shard grid alone, like everything else here.
-  std::size_t group_shard[kMaxShards + 1];
-  const bool sharded = shard_chunk_start != nullptr && nshards > 1 &&
-                       nshards <= kMaxShards && parallel;
-  if (sharded) {
-    group_shard[0] = 0;
-    group_shard[nshards] = ngroups;
-    for (unsigned sh = 1; sh < nshards; ++sh) {
-      std::size_t g = group_shard[sh - 1];
-      while (g < ngroups && group_lo(g) < shard_chunk_start[sh]) ++g;
-      group_shard[sh] = g;
-    }
-  }
   const auto dispatch = [&](auto&& body) {
     if (!parallel) {
       for (std::size_t g = 0; g < ngroups; ++g) body(0u, g);
-    } else if (sharded) {
-      parallel_for_sharded(ngroups, group_shard, nshards, threads, body);
     } else {
       parallel_for_unordered(ngroups, threads, body);
     }

@@ -17,9 +17,12 @@
 //     is contended.
 //
 // Execution substrate: chunks run on the shared persistent WorkPool
-// (util/thread_pool.hpp) — no thread spawn/join per call — and the
-// per-chunk segmented sum uses the runtime-dispatched SIMD kernels of
-// cpu/simd.hpp (AVX2/FMA with a portable multi-accumulator fallback).
+// (util/thread_pool.hpp) — no thread spawn/join per call.  The per-chunk
+// segmented sum is one template body, cpu/kernels_grid.hpp's run_chunk: a
+// specialized grid instance when the (block_w, block_h, stream) config has
+// one, its runtime instance ("generic") otherwise.  Both use the
+// runtime-dispatched SIMD kernels of cpu/simd.hpp (AVX2/FMA with a portable
+// multi-accumulator fallback).
 //
 // Zero-copy apply (the iterative-solver fast path): `spmv` reads the
 // caller's `x` directly — there is no padded copy.  Scalar-width blocks
@@ -82,24 +85,15 @@ class CpuSpmv {
   /// dispatch: kAuto routes an exact (block_w, block_h, stream) match to its
   /// specialized grid instantiation (cpu/kernels_grid.hpp) — bitwise
   /// identical to the generic kernel at a fixed (threads, simd level) —
-  /// while kGeneric pins the generic kernel (parity reference / bench
-  /// baseline).  Out-of-grid configs always run generic.  `shards`
-  /// partitions the chunk grid into contiguous locality domains (NUMA shard
-  /// groups): the default 1 keeps today's single-domain execution, 0 probes
-  /// the machine (default_shards(): libnuma node count, YASPMV_NUMA
-  /// override), and an explicit N pins the domain count.  Sharding is
-  /// scheduling + placement only — the chunk grid, fix-up tree and combine
-  /// order are untouched, so any shard count is bitwise identical to
-  /// shards == 1 at a fixed (threads, level).
+  /// while kGeneric pins the generic kernel, the grid template's runtime
+  /// instance (parity reference / bench baseline).  Out-of-grid configs
+  /// always run generic.
   explicit CpuSpmv(std::shared_ptr<const core::Bccoo> m, unsigned threads = 0,
                    core::ColStream cs = core::ColStream::kAuto,
-                   grid::KernelDispatch kd = grid::KernelDispatch::kAuto,
-                   unsigned shards = 1)
+                   grid::KernelDispatch kd = grid::KernelDispatch::kAuto)
       : fmt_(std::move(m)),
         threads_(threads == 0 ? default_workers() : threads),
-        cs_(fmt_->resolve_col_stream(cs)),
-        shards_(std::min(shards == 0 ? default_shards() : shards,
-                         kMaxShards)) {
+        cs_(fmt_->resolve_col_stream(cs)) {
     const core::Bccoo& f = *fmt_;
     require(f.cfg.block_h >= 1 && f.cfg.block_h <= 8,
             "CpuSpmv[" + config_name() + "]: block height " +
@@ -109,7 +103,7 @@ class CpuSpmv {
       if (const grid::GridEntry* e =
               grid::find(static_cast<int>(f.cfg.block_w),
                          static_cast<int>(f.cfg.block_h), cs_)) {
-        grid_fn_ = e->fn;
+        chunk_fn_ = e->fn;
         kernel_id_ = e->id;
       }
     }
@@ -135,40 +129,8 @@ class CpuSpmv {
     for (std::size_t c = 0; c < chunk_start_.size(); ++c) {
       chunk_first_seg_[c] = f.bit_flags.count_zeros_before(chunk_start_[c]);
     }
-    // Shard grid: the format's tile-rounded block boundaries
-    // (shard_block_starts — a pure function of the format and the shard
-    // count, never the live thread count) mapped onto the chunk grid.  The
-    // map is monotone, so the shard chunk ranges partition [0, nchunks).
-    const std::size_t nchunks_built = chunk_start_.size() - 1;
-    shard_chunk_start_.assign(static_cast<std::size_t>(shards_) + 1, 0);
-    shard_chunk_start_[shards_] = nchunks_built;
-    if (shards_ > 1) {
-      const std::vector<std::size_t> sb = f.shard_block_starts(shards_);
-      for (unsigned s = 1; s < shards_; ++s) {
-        const auto it =
-            std::lower_bound(chunk_start_.begin(), chunk_start_.end(), sb[s]);
-        shard_chunk_start_[s] = std::min<std::size_t>(
-            static_cast<std::size_t>(it - chunk_start_.begin()),
-            nchunks_built);
-      }
-      // Halo metadata: the x sub-range each shard's blocks actually read
-      // (the cross-domain x traffic the perf model charges).
-      shard_col_range_.resize(shards_);
-      for (unsigned s = 0; s < shards_; ++s) {
-        shard_col_range_[s] =
-            f.block_col_range(chunk_start_[shard_chunk_start_[s]],
-                              chunk_start_[shard_chunk_start_[s + 1]]);
-      }
-    }
-    // First-touch the carry/first panels shard by shard so each domain's
-    // fix-up pages are local to the workers that write them.  One shard
-    // degrades to a plain serial fill — bit-for-bit the old vectors.
-    std::size_t panel_shard[kMaxShards + 1];
-    for (unsigned s = 0; s <= shards_; ++s) {
-      panel_shard[s] = shard_chunk_start_[s] * h;
-    }
-    carries_.init(nchunks_built * h, 0.0, panel_shard, shards_, threads_);
-    firsts_.init(nchunks_built * h, 0.0, panel_shard, shards_, threads_);
+    carries_.assign(nchunks * h, 0.0);
+    firsts_.assign(nchunks * h, 0.0);
     // Zero-copy tail redirect: only a padded last block column needs
     // scratch.  The pad beyond `cols` is zeroed once, here; spmv copies
     // just the live tail elements per call.
@@ -187,23 +149,8 @@ class CpuSpmv {
     if (!direct_y_) {
       // Slice-stacked result buffer.  Zeroed once: covered rows are
       // *assigned* every call, uncovered rows are never touched and stay
-      // zero forever.  First-touched along the shard grid — each shard's
-      // boundary is the stacked row its first complete segment lands on
-      // (clamped monotone), so workers fault the y-partial pages they will
-      // assign in the chunk pass.
-      std::size_t res_shard[kMaxShards + 1];
-      res_shard[0] = 0;
-      res_shard[shards_] = stacked * h;
-      for (unsigned s = 1; s < shards_; ++s) {
-        const auto seg =
-            static_cast<std::size_t>(chunk_first_seg_[shard_chunk_start_[s]]);
-        std::size_t b = seg < f.seg_to_block_row.size()
-                            ? static_cast<std::size_t>(
-                                  f.seg_to_block_row[seg]) * h
-                            : stacked * h;
-        res_shard[s] = std::clamp(b, res_shard[s - 1], stacked * h);
-      }
-      res_.init(stacked * h, 0.0, res_shard, shards_, threads_);
+      // zero forever.
+      res_.assign(stacked * h, 0.0);
     } else {
       // Direct-y mode writes into the caller's buffer, so the rows no
       // segment covers must be cleared per call — precompute them.
@@ -215,32 +162,10 @@ class CpuSpmv {
         if (!covered[r]) zero_rows_.push_back(r);
       }
     }
-    if (shards_ > 1 && !direct_y_) {
-      // Combine pass shard grid: rows partition evenly across domains.
-      // The per-row slice fold itself is untouched (fixed slice order), so
-      // sharding the row ranges is a disjoint merge, not an FP reduction.
-      const auto rowsz = static_cast<std::size_t>(f.rows);
-      const std::size_t rchunks =
-          std::max<std::size_t>(1, std::min<std::size_t>(threads_ * 4, rowsz));
-      combine_shard_start_.resize(static_cast<std::size_t>(shards_) + 1);
-      for (unsigned s = 0; s <= shards_; ++s) {
-        combine_shard_start_[s] = s * rchunks / shards_;
-      }
-    }
   }
 
   const core::Bccoo& format() const { return *fmt_; }
   unsigned threads() const { return threads_; }
-  /// Locality domains the chunk and combine passes are sharded across
-  /// (1 = today's single-domain execution).
-  unsigned shard_count() const { return shards_; }
-  /// The x sub-range shard s's blocks read — its halo view.  Everything
-  /// outside [lo, hi) is another domain's x; the full span when unsharded
-  /// or when the shard holds no blocks.
-  std::pair<index_t, index_t> shard_col_range(unsigned s) const {
-    if (s >= shard_col_range_.size()) return {0, fmt_->cols};
-    return shard_col_range_[s];
-  }
   /// The resolved column stream the hot loop actually reads.
   core::ColStream col_stream() const { return cs_; }
   /// Stable id of the chunk kernel this engine dispatches to: a grid id
@@ -249,7 +174,7 @@ class CpuSpmv {
   /// by serve's kStats.
   const char* kernel_id() const { return kernel_id_; }
   /// True when the engine runs a specialized grid kernel.
-  bool specialized() const { return grid_fn_ != nullptr; }
+  bool specialized() const { return chunk_fn_ != grid::kGenericChunk; }
 
   /// Fault-injection hook (tests/chaos tooling): when set, the armed
   /// kFlipPartial plan can flip one bit of one per-chunk partial sum
@@ -280,7 +205,6 @@ class CpuSpmv {
                 yb + y.size() * sizeof(real_t) <= xb,
             "CpuSpmv: x and y must not overlap (zero-copy apply)");
     const auto h = static_cast<std::size_t>(f.cfg.block_h);
-    const auto bw = static_cast<std::size_t>(f.cfg.block_w);
 
     if (tail_n_ != 0) {
       // Only the live tail elements move; the pad stays ctor-zeroed.
@@ -294,30 +218,16 @@ class CpuSpmv {
 
     const real_t* const xd = x.data();
     const std::size_t nchunks = chunk_start_.size() - 1;
-    // Specialized dispatch resolved once at construction; the branch here
-    // is once per chunk, never inside a block loop.
-    const grid::ChunkCtx gctx{fmt_.get(),          chunk_start_.data(),
+    // The kernel (a grid instance or the runtime one) was resolved once at
+    // construction.
+    const grid::ChunkCtx gctx{fmt_.get(),     chunk_start_.data(),
                               chunk_first_seg_.data(), firsts_.data(),
-                              carries_.data(),     pad_bcol_,
-                              xtail_.data()};
-    const grid::ChunkKernelFn gfn = grid_fn_;
-    const auto chunk_body = [&](unsigned, std::size_t c) {
-      if (gfn) {
-        gfn(gctx, c, xd, out);
-      } else {
-        process_chunk(c, h, bw, xd, out);
-      }
-    };
-    if (shards_ > 1) {
-      // Shard-affine scheduling: each worker group claims only its domain's
-      // chunk range (spilling to other domains once its own drains), so the
-      // panels and res_ pages it first-touched stay local.  The chunk grid
-      // is the same one the unsharded path walks — bitwise identical.
-      parallel_for_sharded(nchunks, shard_chunk_start_.data(), shards_,
-                           threads_, chunk_body);
-    } else {
-      parallel_for_unordered(nchunks, threads_, chunk_body);
-    }
+                              carries_.data(), pad_bcol_,
+                              xtail_.data(),   cs_};
+    const grid::ChunkKernelFn fn = chunk_fn_;
+    parallel_for_unordered(nchunks, threads_, [&](unsigned, std::size_t c) {
+      fn(gctx, c, xd, out);
+    });
     if (injector_) {
       injector_->flip_partial(
           std::span<real_t>(carries_.data(), carries_.size()));
@@ -338,7 +248,7 @@ class CpuSpmv {
               static_cast<std::size_t>(chunk_first_seg_[c])]);
           capply(out + sbrow * h, inc, firsts_.data() + c * h, h);
         },
-        fix_, shards_ > 1 ? shard_chunk_start_.data() : nullptr, shards_);
+        fix_);
     if (direct_y_) return;  // workers already produced y
 
     // Combine y from the (slice-stacked) result buffer — the CPU analog of
@@ -365,19 +275,10 @@ class CpuSpmv {
     if (threads_ > 1 && f.rows >= kParCombineRows) {
       const auto rowsz = static_cast<std::size_t>(f.rows);
       const std::size_t rchunks = std::min<std::size_t>(threads_ * 4, rowsz);
-      const auto combine_body = [&](unsigned, std::size_t rc) {
+      parallel_for_unordered(rchunks, threads_, [&](unsigned, std::size_t rc) {
         combine_rows(static_cast<index_t>(rc * rowsz / rchunks),
                      static_cast<index_t>((rc + 1) * rowsz / rchunks));
-      };
-      if (shards_ > 1) {
-        // Shard-local combine: each domain folds the rows whose res_ pages
-        // it placed, then the disjoint row ranges ARE the cross-shard
-        // merge — no second reduction and no reassociation.
-        parallel_for_sharded(rchunks, combine_shard_start_.data(), shards_,
-                             threads_, combine_body);
-      } else {
-        parallel_for_unordered(rchunks, threads_, combine_body);
-      }
+      });
     } else {
       combine_rows(0, f.rows);
     }
@@ -426,6 +327,11 @@ class CpuSpmv {
     return rep;
   }
 
+  /// y = A (x) x under semiring S on this engine's chunk grid and scratch;
+  /// defined, with the semirings, in cpu/semiring.hpp.
+  template <class S>
+  void spmv_semiring(std::span<const real_t> x, std::span<real_t> y);
+
  private:
   /// "2x4/short" — the (block_w x block_h / stream) label dims-check and
   /// range errors carry so tuner skip-and-record logs name the candidate.
@@ -434,188 +340,24 @@ class CpuSpmv {
            std::to_string(fmt_->cfg.block_h) + "/" + core::to_string(cs_);
   }
 
-  /// Column source of decode tile [t0, t1) (t0 tile-aligned): raw mode
-  /// returns a pointer straight into col_index; compressed modes expand the
-  /// int16/u16 stream into `buf` (tile-local indexing either way — caller
-  /// reads tc[i - t0]).
-  const index_t* tile_cols(std::size_t t0, std::size_t t1, index_t* buf,
-                           simd::DecodeShortFn dshort,
-                           simd::DecodeDeltaFn ddelta) const {
-    const core::Bccoo& f = *fmt_;
-    switch (cs_) {
-      case core::ColStream::kShort:
-        dshort(f.short_cols.data() + t0, buf, t1 - t0);
-        return buf;
-      case core::ColStream::kDelta: {
-        const std::size_t t = t0 / core::Bccoo::kColTile;
-        ddelta(f.delta_cols.data() + t0, t1 - t0,
-               f.delta_escapes.data() + f.delta_escape_start[t], buf);
-        return buf;
-      }
-      default:
-        return f.col_index.data() + t0;
-    }
-  }
-
-  void process_chunk(std::size_t c, std::size_t h, std::size_t bw,
-                     const real_t* x, real_t* out) {
-    const core::Bccoo& f = *fmt_;
-    const std::size_t b0 = chunk_start_[c];
-    const std::size_t b1 = chunk_start_[c + 1];
-    index_t seg = chunk_first_seg_[c];
-    const std::uint32_t* words = f.bit_flags.words().data();
-    const simd::DecodeShortFn dshort = simd::decode_short();
-    const simd::DecodeDeltaFn ddelta = simd::decode_delta();
-    // Per-tile decode scratch: 2 KB on the worker's stack, L1-resident.
-    index_t buf[core::Bccoo::kColTile];
-    constexpr std::size_t kTile = core::Bccoo::kColTile;
-    if (h == 1 && bw == 1) {
-      // Fast path for scalar blocks (the tuner's most common choice): walk
-      // the chunk decode tile by decode tile, and within a tile segment
-      // piece by segment piece — the packed bit flags are scanned a word at
-      // a time for the next row stop, and each piece is a gathered dot
-      // product on the SIMD kernel.  Scalar blocks are never padded, so x
-      // is read in place.
-      const real_t* vals = f.value_rows[0].data();
-      // Chunks whose *average* segment is short (power-law matrices) take a
-      // single-pass loop — one bit test per non-zero beats a per-segment
-      // word scan + kernel call when segments hold only a few non-zeros.
-      // The choice depends only on the format and the chunk decomposition
-      // (i.e. the requested thread count), so determinism is unaffected.
-      const std::size_t stops_c =
-          static_cast<std::size_t>(chunk_first_seg_[c + 1]) -
-          static_cast<std::size_t>(chunk_first_seg_[c]);
-      if (stops_c * simd::kShortSegment > b1 - b0) {
-        real_t acc = 0.0;
-        bool fs = true;
-        for (std::size_t t0 = b0; t0 < b1; t0 += kTile) {
-          const std::size_t t1 = std::min(t0 + kTile, b1);
-          const index_t* tc = tile_cols(t0, t1, buf, dshort, ddelta);
-          for (std::size_t i = t0; i < t1; ++i) {
-            acc += vals[i] * x[static_cast<std::size_t>(tc[i - t0])];
-            if (!((words[i >> 5] >> (i & 31u)) & 1u)) {  // row stop
-              if (fs) {
-                firsts_[c] = acc;
-                fs = false;
-              } else {
-                out[static_cast<std::size_t>(
-                    f.seg_to_block_row[static_cast<std::size_t>(seg)])] = acc;
-              }
-              acc = 0.0;
-              ++seg;
-            }
-          }
-        }
-        carries_[c] = acc;
-        return;
-      }
-      // Piece-based loop.  A segment piece crossing a tile boundary is split
-      // there and accumulated sequentially (part += dot(subpiece)); the
-      // split points depend only on the format and the chunk decomposition,
-      // never the column mode, which is what keeps raw/short/delta bitwise
-      // identical.
-      const simd::DotRangeFn dot = simd::dot_range();
-      real_t part = 0.0;  // running sum of the currently open piece
-      bool first_stop = true;
-      for (std::size_t t0 = b0; t0 < b1; t0 += kTile) {
-        const std::size_t t1 = std::min(t0 + kTile, b1);
-        const index_t* tc = tile_cols(t0, t1, buf, dshort, ddelta);
-        const real_t* tv = vals + t0;
-        const std::size_t tn = t1 - t0;
-        std::size_t i = t0;
-        for (;;) {
-          const std::size_t stop = simd::next_row_stop(words, i, t1);
-          if (stop == t1) {  // open piece continues into the next tile
-            if (i < t1) {
-              part += simd::dot_piece(dot, tv, tc, x, i - t0, tn, tn);
-            }
-            break;
-          }
-          const real_t s =
-              part + simd::dot_piece(dot, tv, tc, x, i - t0, stop + 1 - t0, tn);
-          part = 0.0;
-          if (first_stop) {
-            // May continue from the previous chunk: defer to the fix-up.
-            firsts_[c] = s;
-            first_stop = false;
-          } else {
-            out[static_cast<std::size_t>(
-                f.seg_to_block_row[static_cast<std::size_t>(seg)])] = s;
-          }
-          ++seg;
-          i = stop + 1;
-        }
-      }
-      carries_[c] = part;
-      return;
-    }
-    const simd::DotDenseFn bdot = simd::dot_dense();
-    real_t acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    bool first_stop = true;
-    for (std::size_t t0 = b0; t0 < b1; t0 += kTile) {
-      const std::size_t t1 = std::min(t0 + kTile, b1);
-      const index_t* tc = tile_cols(t0, t1, buf, dshort, ddelta);
-      for (std::size_t i = t0; i < t1; ++i) {
-        const auto bcol = static_cast<std::size_t>(tc[i - t0]);
-        // Zero-copy with a tail redirect: every block column starts in
-        // bounds; only the (rare) padded last block column reads the
-        // ctor-padded xtail_ scratch instead of x.
-        const real_t* xv =
-            bcol == pad_bcol_ ? xtail_.data() : x + bcol * bw;
-        if (i + 4 < t1) {
-          __builtin_prefetch(x + static_cast<std::size_t>(tc[i + 4 - t0]) * bw);
-        }
-        for (std::size_t k = 0; k < h; ++k) {
-          acc[k] += bdot(f.value_rows[k].data() + i * bw, xv, bw);
-        }
-        if (!f.bit_flags.get(i)) {  // row stop
-          if (first_stop) {
-            // May continue from the previous chunk: defer to the fix-up.
-            for (std::size_t k = 0; k < h; ++k) {
-              firsts_[c * h + k] = acc[k];
-              acc[k] = 0.0;
-            }
-            first_stop = false;
-          } else {
-            const auto sbrow = static_cast<std::size_t>(
-                f.seg_to_block_row[static_cast<std::size_t>(seg)]);
-            for (std::size_t k = 0; k < h; ++k) {
-              out[sbrow * h + k] = acc[k];
-              acc[k] = 0.0;
-            }
-          }
-          ++seg;
-        }
-      }
-    }
-    for (std::size_t k = 0; k < h; ++k) carries_[c * h + k] = acc[k];
-  }
-
   std::shared_ptr<const core::Bccoo> fmt_;
   unsigned threads_;
   core::ColStream cs_;
-  grid::ChunkKernelFn grid_fn_ = nullptr;  ///< specialized kernel, or null
-  const char* kernel_id_ = "generic";      ///< stable dispatch id
+  grid::ChunkKernelFn chunk_fn_ = grid::kGenericChunk;  ///< chunk kernel
+  const char* kernel_id_ = "generic";  ///< stable dispatch id
   FixupScratch fix_;  ///< speculative fix-up scratch (segfix.hpp)
   sim::FaultInjector* injector_ = nullptr;  ///< nullable kFlipPartial site
   bool direct_y_ = false;  ///< workers write y in place (1 slice, no row pad)
-  unsigned shards_ = 1;  ///< locality domains (NUMA shard groups)
   std::vector<std::size_t> chunk_start_;
   std::vector<index_t> chunk_first_seg_;
-  /// shards_ + 1 chunk boundaries (from the format's block shard grid).
-  std::vector<std::size_t> shard_chunk_start_;
-  /// shards_ + 1 row-chunk boundaries for the sharded combine pass.
-  std::vector<std::size_t> combine_shard_start_;
-  /// Per-shard x halo [lo, hi) — empty when unsharded.
-  std::vector<std::pair<index_t, index_t>> shard_col_range_;
-  FirstTouchBuffer<real_t> carries_;  ///< per chunk: trailing open-seg sum
-  FirstTouchBuffer<real_t> firsts_;   ///< per chunk: first (partial) sum
+  std::vector<real_t> carries_;  ///< per chunk: trailing open-seg sum
+  std::vector<real_t> firsts_;   ///< per chunk: first (partial) sum
   // Tail redirect for padded blocked formats (empty / never-matching when
   // cols divide evenly — the common case reads x with zero copies).
   std::size_t pad_bcol_ = static_cast<std::size_t>(-1);
   std::size_t tail_n_ = 0;       ///< live elements in the padded last block
   std::vector<real_t> xtail_;    ///< last block column, pad zeroed once
-  FirstTouchBuffer<real_t> res_;  ///< slice-stacked results (!direct_y_)
+  std::vector<real_t> res_;  ///< slice-stacked results (!direct_y_)
   std::vector<std::size_t> zero_rows_;  ///< uncovered rows (direct_y_ only)
 };
 
@@ -747,67 +489,16 @@ class CpuSpmm {
       acc_panel_.assign(nchunks * kz, 0.0);
       panels_k_ = kz;
     }
-    const real_t* vals = f.value_rows[0].data();
-    const simd::DecodeShortFn dshort = simd::decode_short();
-    const simd::DecodeDeltaFn ddelta = simd::decode_delta();
 
-    // Specialized dispatch (stream burned in), same shape as CpuSpmv::spmv:
-    // resolved at construction, branched once per chunk.
+    // The kernel (a grid instance or the runtime one) was resolved at
+    // construction, like CpuSpmv::spmv's.
     const grid::SpmmCtx gctx{fmt_.get(),      starts_.data(),
                              first_seg_.data(), firsts_.data(),
-                             carries_.data(), acc_panel_.data()};
-    const grid::SpmmKernelFn gfn = spmm_fn_;
-    const auto chunk_body = [&](unsigned, std::size_t c) {
-      if (gfn) {
-        gfn(gctx, c, X.data(), Y.data(), kz, colsz, rowsz);
-        return;
-      }
-      real_t* acc = acc_panel_.data() + c * kz;
-      std::fill(acc, acc + kz, 0.0);
-      index_t seg = first_seg_[c];
-      bool first_stop = true;
-      index_t buf[core::Bccoo::kColTile];
-      constexpr std::size_t kTile = core::Bccoo::kColTile;
-      for (std::size_t t0 = starts_[c]; t0 < starts_[c + 1]; t0 += kTile) {
-        const std::size_t t1 = std::min(t0 + kTile, starts_[c + 1]);
-        const index_t* tc;
-        if (cs_ == core::ColStream::kShort) {
-          dshort(f.short_cols.data() + t0, buf, t1 - t0);
-          tc = buf;
-        } else if (cs_ == core::ColStream::kDelta) {
-          const std::size_t t = t0 / kTile;
-          ddelta(f.delta_cols.data() + t0, t1 - t0,
-                 f.delta_escapes.data() + f.delta_escape_start[t], buf);
-          tc = buf;
-        } else {
-          tc = f.col_index.data() + t0;
-        }
-        for (std::size_t i = t0; i < t1; ++i) {
-          const real_t v = vals[i];
-          const auto col = static_cast<std::size_t>(tc[i - t0]);
-          if (i + 8 < t1) {
-            __builtin_prefetch(&X[static_cast<std::size_t>(tc[i + 8 - t0])]);
-          }
-          for (std::size_t j = 0; j < kz; ++j) {
-            acc[j] += v * X[j * colsz + col];  // one decode, k FMAs
-          }
-          if (!f.bit_flags.get(i)) {
-            if (first_stop) {
-              std::copy(acc, acc + kz, &firsts_[c * kz]);
-              first_stop = false;
-            } else {
-              const auto row = static_cast<std::size_t>(
-                  f.seg_to_block_row[static_cast<std::size_t>(seg)]);
-              for (std::size_t j = 0; j < kz; ++j) Y[j * rowsz + row] = acc[j];
-            }
-            std::fill(acc, acc + kz, 0.0);
-            ++seg;
-          }
-        }
-      }
-      std::copy(acc, acc + kz, &carries_[c * kz]);
-    };
-    parallel_for_unordered(nchunks, threads_, chunk_body);
+                             carries_.data(), acc_panel_.data(), cs_};
+    const grid::SpmmKernelFn fn = spmm_fn_;
+    parallel_for_unordered(nchunks, threads_, [&](unsigned, std::size_t c) {
+      fn(gctx, c, X.data(), Y.data(), kz, colsz, rowsz);
+    });
 
     // Fix-up assigns, same injectivity argument as CpuSpmv::spmv.
     const simd::AccAddFn aadd = simd::acc_add();
@@ -832,7 +523,7 @@ class CpuSpmm {
   CpuSpmv eng_;
   unsigned threads_;
   core::ColStream cs_;
-  grid::SpmmKernelFn spmm_fn_ = nullptr;  ///< specialized fused pass, or null
+  grid::SpmmKernelFn spmm_fn_ = grid::kGenericSpmmChunk;  ///< fused pass
   const char* kernel_id_ = "generic";     ///< stable dispatch id
   FixupScratch fix_;
   // Fused-path precomputation (1x1 blocks, 1 slice): chunk starts and the

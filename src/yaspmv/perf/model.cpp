@@ -86,26 +86,6 @@ double spmv_gflops_dispatch(const sim::DeviceSpec& dev,
   return 2.0 * static_cast<double>(nnz) / t.total_s * 1e-9;
 }
 
-TimeBreakdown model_time_sharded(const sim::DeviceSpec& dev,
-                                 const sim::KernelStats& st,
-                                 unsigned threads, unsigned shards,
-                                 std::size_t halo_bytes) {
-  TimeBreakdown t = model_time_threads(dev, st, threads);
-  if (shards <= 1 || dev.cross_node_gbps <= 0.0) return t;
-  const double local_bw = dev.mem_bandwidth_gbps * 1e9 * dev.mem_efficiency;
-  const double cross_bw = dev.cross_node_gbps * 1e9 * dev.mem_efficiency;
-  if (cross_bw >= local_bw) return t;  // interconnect not the bottleneck
-  // Halo bytes cross the interconnect instead of streaming locally: the
-  // model already charged them at local rate inside mem_s, so only the
-  // rate *difference* is added.  The halo is read concurrently by all
-  // shards, hence the division — each domain pulls its own slice.
-  const double halo = static_cast<double>(halo_bytes);
-  t.mem_s += halo * (1.0 / cross_bw - 1.0 / local_bw) /
-             static_cast<double>(shards);
-  t.total_s = std::max(t.mem_s, t.compute_s) + t.launch_s + t.sync_s;
-  return t;
-}
-
 double harmonic_mean(const double* v, std::size_t n) {
   if (n == 0) return 0.0;
   double inv = 0.0;

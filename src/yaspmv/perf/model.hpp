@@ -73,21 +73,6 @@ double spmv_gflops_dispatch(const sim::DeviceSpec& dev,
                             unsigned threads, std::size_t blocks,
                             bool specialized);
 
-/// Shard-aware variant: model_time_threads plus the cross-node traffic
-/// term of a `shards`-domain execution.  With shard-affine scheduling the
-/// format/result streams are node-local by first touch; what crosses the
-/// interconnect is the x halo — `halo_bytes` is the total bytes of x the
-/// shards read outside their own column ranges per apply (the caller sums
-/// it from CpuSpmv::shard_col_range overlaps).  Those bytes move at
-/// `dev.cross_node_gbps` instead of local bandwidth, so the model charges
-/// the *difference* between the two rates on the halo bytes only.  With
-/// `shards <= 1` or `cross_node_gbps <= 0` (uniform memory) this is
-/// exactly model_time_threads — single-node rankings are unchanged.
-TimeBreakdown model_time_sharded(const sim::DeviceSpec& dev,
-                                 const sim::KernelStats& st,
-                                 unsigned threads, unsigned shards,
-                                 std::size_t halo_bytes);
-
 /// Harmonic mean of a positive sequence (the paper's average throughput).
 double harmonic_mean(const double* v, std::size_t n);
 

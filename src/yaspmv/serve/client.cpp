@@ -269,9 +269,6 @@ StatsSnapshot Client::stats() {
   if (r.remaining() >= sizeof(std::uint64_t)) {
     s.stream_applies = r.get<std::uint64_t>();
   }
-  if (r.remaining() >= sizeof(std::uint64_t)) {
-    s.shard_domains = r.get<std::uint64_t>();
-  }
   return s;
 }
 

@@ -96,7 +96,7 @@ struct StatsSnapshot {
                 inflight = 0, verified_requests = 0, integrity_faults = 0,
                 integrity_recovered = 0, executors = 0, apply_threads = 0,
                 grid_plans = 0, generic_plans = 0, stream_registered = 0,
-                stream_applies = 0, shard_domains = 0;
+                stream_applies = 0;
 };
 
 class Client {

@@ -281,7 +281,6 @@ ServerStats Server::stats() const {
   }
   out.executors = opt_.executors;
   out.apply_threads = opt_.apply_threads;
-  out.shard_domains = default_shards();
   {
     std::lock_guard<std::mutex> lk(disp_mu_);
     out.inflight = inflight_;
@@ -1078,7 +1077,6 @@ std::vector<std::uint8_t> Server::handle_stats() {
   w.put<std::uint64_t>(s.generic_plans);
   w.put<std::uint64_t>(s.stream_registered);
   w.put<std::uint64_t>(s.stream_applies);
-  w.put<std::uint64_t>(s.shard_domains);
   return w.take();
 }
 

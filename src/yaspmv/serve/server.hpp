@@ -110,12 +110,10 @@ struct ServerStats {
   // rule as above.
   std::uint64_t grid_plans = 0;          ///< plans on a "grid/..." kernel
   std::uint64_t generic_plans = 0;       ///< plans on the generic kernel
-  // Shard/streaming execution shape (appended last, same rule as above).
+  // Streaming execution shape (appended last, same rule as above).
   std::uint64_t stream_registered = 0;   ///< matrices served out-of-core
                                          ///< (registered by path, mmapped)
   std::uint64_t stream_applies = 0;      ///< applies run off a mapped file
-  std::uint64_t shard_domains = 0;       ///< NUMA locality domains probed on
-                                         ///< this host (1 = single node)
 };
 
 class Server {

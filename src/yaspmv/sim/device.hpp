@@ -60,13 +60,6 @@ struct DeviceSpec {
   // serves when two configs are otherwise modeled equal.
   double block_branch_ns = 0.6;    ///< per block, generic dispatch only
 
-  // Cross-domain bandwidth for shard-aware execution (perf::
-  // model_time_sharded): the rate at which one NUMA node reads memory
-  // homed on another (interconnect-limited), vs mem_bandwidth_gbps for
-  // node-local streams.  0 means uniform memory — a single-node box —
-  // and the sharded model collapses to model_time_threads exactly.
-  double cross_node_gbps = 0.0;  ///< remote-read bandwidth (0 = uniform)
-
   /// Fraction of warp-divergence slowdown that is actually *exposed*: the
   /// SM hides most of a divergent warp's idle slots behind other resident
   /// warps, so the effective memory-issue throttle is

@@ -48,27 +48,16 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
-
-// Optional libnuma backing for shard placement.  The build defines
-// YASPMV_WITH_LIBNUMA only when both numa.h and the library were found
-// (src/CMakeLists.txt); everything below degrades to a single locality
-// domain without it, so shard-aware callers need no #ifdefs of their own.
-#if defined(YASPMV_WITH_LIBNUMA)
-#include <numa.h>
-#endif
 
 namespace yaspmv {
 
@@ -81,39 +70,6 @@ inline unsigned default_workers() {
     return hc == 0 ? 1u : hc;
   }();
   return n;
-}
-
-/// NUMA nodes the machine actually has: the libnuma probe when compiled in
-/// and the kernel exposes a topology, 1 otherwise.  Never 0.
-inline unsigned numa_node_count() {
-#if defined(YASPMV_WITH_LIBNUMA)
-  if (numa_available() >= 0) {
-    const int n = numa_num_configured_nodes();
-    if (n > 1) return static_cast<unsigned>(n);
-  }
-#endif
-  return 1;
-}
-
-/// Upper bound on shard groups a sharded launch partitions workers into
-/// (per-shard claim cursors live on the launch stack, so this stays small).
-inline constexpr unsigned kMaxShards = 16;
-
-/// Default shard count for shard-aware execution: the YASPMV_NUMA override
-/// when set ("0"/"off" forces one domain, a positive number forces that
-/// many shard groups), otherwise the NUMA node probe.  On single-node
-/// machines (or without libnuma) this is 1 and every sharded code path
-/// collapses to the plain pooled one.
-inline unsigned default_shards() {
-  if (const char* env = std::getenv("YASPMV_NUMA")) {
-    if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0) return 1;
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) {
-      return static_cast<unsigned>(
-          std::min<long>(v, static_cast<long>(kMaxShards)));
-    }
-  }
-  return std::min(numa_node_count(), kMaxShards);
 }
 
 /// A persistent pool of parked worker threads executing one job at a time
@@ -295,87 +251,6 @@ class WorkPool {
     if (first_error) std::rethrow_exception(first_error);
   }
 
-  /// Shard-affinity variant of run_unordered: the index range [0, n) is
-  /// pre-partitioned into `nshards` contiguous shards by `shard_start`
-  /// (nshards + 1 monotone boundaries with shard_start[0] == 0 and
-  /// shard_start[nshards] == n).  Live workers are split into contiguous
-  /// per-shard groups (worker w's home shard is w * nshards / live) and
-  /// each group drains its own shard's cursor first — on a NUMA machine
-  /// with bound workers this keeps every group on the pages its shard's
-  /// first-touch pass faulted.  A group that drains its home shard sweeps
-  /// the other shards' cursors, so every index runs exactly once for any
-  /// live thread count (including live < nshards).  Pure scheduling: the
-  /// body contract is run_unordered's (disjoint writes, no cross-index
-  /// waiting), so output is bitwise identical to run_unordered/run_ordered
-  /// at the same requested worker count.
-  template <class Body>
-  void run_sharded(std::size_t n, const std::size_t* shard_start,
-                   unsigned nshards, unsigned max_workers, Body&& body) {
-    if (n == 0) return;
-    if (nshards <= 1 || nshards > kMaxShards) {
-      // Out-of-bounds shard counts degrade to the unsharded schedule rather
-      // than silently dropping the ranges past shard_start[kMaxShards].
-      run_unordered(n, max_workers, std::forward<Body>(body));
-      return;
-    }
-    unsigned live = std::min(max_workers, default_workers());
-    if (live > kMaxWorkers) live = kMaxWorkers;
-    if (live <= 1 || n == 1 || tl_in_job_) {
-      run_inline(n, body);
-      return;
-    }
-    active_launches_.fetch_add(1, std::memory_order_relaxed);
-    struct ActiveGuard {
-      std::atomic<unsigned>& n;
-      ~ActiveGuard() { n.fetch_sub(1, std::memory_order_relaxed); }
-    } active_guard{active_launches_};
-    std::unique_lock<std::mutex> submit(submit_mu_, std::try_to_lock);
-    if (!submit.owns_lock()) {
-      run_inline(n, body);
-      return;
-    }
-    ensure_workers(live);
-
-    // Same batching economics as run_unordered, but the cursor is
-    // per-shard: each shard hands out contiguous batches independently.
-    const std::size_t batch = std::max<std::size_t>(
-        1, (n + static_cast<std::size_t>(live) * 4 - 1) /
-               (static_cast<std::size_t>(live) * 4));
-    std::array<std::atomic<std::size_t>, kMaxShards> cursors{};
-    std::atomic<bool> poisoned{false};
-    std::exception_ptr first_error;
-    std::mutex err_mu;
-
-    auto runner = [&](unsigned worker) {
-      // Round-robin home shards, matching the round-robin node binding of
-      // worker_main: when nshards == numa_node_count() worker w's home
-      // shard lives on the node w is bound to.
-      const unsigned home = worker % nshards;
-      for (unsigned k = 0; k < nshards; ++k) {
-        const unsigned s = (home + k) % nshards;
-        const std::size_t s_lo = shard_start[s];
-        const std::size_t s_hi = shard_start[s + 1];
-        for (;;) {
-          const std::size_t off =
-              cursors[s].fetch_add(batch, std::memory_order_relaxed);
-          const std::size_t lo = s_lo + off;
-          if (lo >= s_hi) break;
-          const std::size_t hi = std::min(s_hi, lo + batch);
-          if (poisoned.load(std::memory_order_acquire)) continue;  // drain
-          try {
-            for (std::size_t i = lo; i < hi; ++i) body(worker, i);
-          } catch (...) {
-            std::lock_guard<std::mutex> lk(err_mu);
-            if (!first_error) first_error = std::current_exception();
-            poisoned.store(true, std::memory_order_release);
-          }
-        }
-      }
-    };
-    launch(live, runner);
-    if (first_error) std::rethrow_exception(first_error);
-  }
-
  private:
   struct Job {
     void (*invoke)(void*, unsigned) = nullptr;
@@ -469,15 +344,6 @@ class WorkPool {
   }
 
   void worker_main(unsigned id) {
-#if defined(YASPMV_WITH_LIBNUMA)
-    // Bind each pool thread to a node round-robin so sharded launches (home
-    // shard = id % nshards) read the pages their shard's first-touch pass
-    // placed.  Best effort: a cpuset that excludes the node simply leaves
-    // the thread where the scheduler put it.
-    if (const unsigned nodes = numa_node_count(); nodes > 1) {
-      (void)numa_run_on_node(static_cast<int>(id % nodes));
-    }
-#endif
     const std::atomic<std::uint32_t>& seq = slots_[id].seq;
     std::uint32_t seen = 0;
     bool spin = false;  // parked until the first job
@@ -543,82 +409,5 @@ inline void parallel_for_unordered(std::size_t n, unsigned workers,
   }
   WorkPool::shared().run_unordered(n, workers, std::forward<Body>(body));
 }
-
-/// Runs `body(worker, i)` for i in [0, n) on the shared WorkPool with the
-/// shard-affinity schedule of WorkPool::run_sharded: `shard_start` holds
-/// nshards + 1 monotone boundaries partitioning [0, n) into contiguous
-/// shards, each drained by its own worker group first.  Same body contract
-/// (and bitwise output) as parallel_for_unordered at the same `workers`.
-template <class Body>
-inline void parallel_for_sharded(std::size_t n, const std::size_t* shard_start,
-                                 unsigned nshards, unsigned workers,
-                                 Body&& body) {
-  if (n == 0) return;
-  if (workers <= 1 || n == 1 || nshards <= 1) {
-    if (workers <= 1 || n == 1) {
-      for (std::size_t i = 0; i < n; ++i) body(0u, i);
-    } else {
-      WorkPool::shared().run_unordered(n, workers, std::forward<Body>(body));
-    }
-    return;
-  }
-  WorkPool::shared().run_sharded(n, shard_start, nshards, workers,
-                                 std::forward<Body>(body));
-}
-
-/// First-touch initialization: value-fills `p[0..n)` with `v`, with each
-/// shard's element range [shard_start[s], shard_start[s + 1]) written by
-/// that shard's worker group — on a NUMA machine with bound workers the
-/// kernel's first-touch policy places each shard's pages on the node that
-/// will stream them.  `p` must be freshly allocated storage that no thread
-/// has written yet (e.g. `new T[n]`, NOT a resized std::vector — resize
-/// value-initializes and would fault every page on the calling thread).
-/// Falls back to a plain serial fill for one shard / one worker.
-template <class T>
-inline void first_touch_fill(T* p, std::size_t n, T v,
-                             const std::size_t* shard_start, unsigned nshards,
-                             unsigned workers) {
-  if (n == 0) return;
-  if (nshards <= 1 || nshards > kMaxShards || workers <= 1) {
-    std::fill(p, p + n, v);
-    return;
-  }
-  // One work item per shard; batch size 1, so each home group claims (and
-  // faults) exactly its own shard's range.
-  std::size_t identity[kMaxShards + 1];
-  for (unsigned s = 0; s <= nshards; ++s) identity[s] = s;
-  WorkPool::shared().run_sharded(
-      nshards, identity, nshards, workers, [&](unsigned, std::size_t s) {
-        std::fill(p + shard_start[s], p + shard_start[s + 1], v);
-      });
-}
-
-/// Heap buffer whose pages are faulted by a sharded first-touch pass (see
-/// first_touch_fill) instead of by the constructing thread.  Engines hold
-/// their per-shard scratch (carry panels, slice-stacked partials) in these
-/// so each NUMA group streams locally placed pages.  With one shard it is
-/// just a zero-filled array — bit-for-bit the std::vector it replaces.
-template <class T>
-class FirstTouchBuffer {
- public:
-  void init(std::size_t n, T v, const std::size_t* shard_start,
-            unsigned nshards, unsigned workers) {
-    // new T[n] default-initializes (trivial T: no writes), so the pages are
-    // still untouched when the sharded fill claims them.
-    p_.reset(n == 0 ? nullptr : new T[n]);
-    n_ = n;
-    if (n != 0) first_touch_fill(p_.get(), n, v, shard_start, nshards, workers);
-  }
-  T* data() { return p_.get(); }
-  const T* data() const { return p_.get(); }
-  std::size_t size() const { return n_; }
-  bool empty() const { return n_ == 0; }
-  T& operator[](std::size_t i) { return p_[i]; }
-  const T& operator[](std::size_t i) const { return p_[i]; }
-
- private:
-  std::unique_ptr<T[]> p_;
-  std::size_t n_ = 0;
-};
 
 }  // namespace yaspmv

@@ -195,15 +195,16 @@ constexpr int kSemiringPooledReps = 25;
 
 TEST(SegSumModes, SemiringUnorderedMatchesOrderedBitwise) {
   const auto A = gen::random_scattered(600, 600, 5, 13);
-  const auto f = core::Bccoo::build(A, {});
+  const auto f = build(A);
   const auto x = seeded(static_cast<std::size_t>(A.cols), 3);
   for (unsigned threads : {1u, 4u, 8u}) {
     std::vector<real_t> ord(static_cast<std::size_t>(A.rows)),
         unord(static_cast<std::size_t>(A.rows));
+    cpu::CpuSpmv eng(f, threads);
     ASSERT_TRUE(apply_in_order(
-        [&] { cpu::spmv_semiring<cpu::PlusTimes>(f, x, ord, threads); }));
+        [&] { eng.spmv_semiring<cpu::PlusTimes>(x, ord); }));
     for (int rep = 0; rep < kSemiringPooledReps; ++rep) {
-      cpu::spmv_semiring<cpu::PlusTimes>(f, x, unord, threads);
+      eng.spmv_semiring<cpu::PlusTimes>(x, unord);
       ASSERT_TRUE(bitwise_equal(ord, unord))
           << "threads=" << threads << " rep " << rep;
     }
@@ -230,7 +231,7 @@ TEST(SegSumModes, SemiringMinPlusUnorderedMatchesOrdered) {
   // too.  Two distance vectors: one finite source (most rows stay at
   // infinity) and finite distances everywhere (every row is a real min).
   const auto A = gen::stencil2d(20, 20, false, 1);
-  auto g = core::Bccoo::build(A, {});
+  cpu::CpuSpmv eng(build(A), 8);
   std::vector<real_t> source(static_cast<std::size_t>(A.rows),
                              std::numeric_limits<real_t>::infinity());
   source[0] = 0;
@@ -239,10 +240,10 @@ TEST(SegSumModes, SemiringMinPlusUnorderedMatchesOrdered) {
   for (const auto& d : {source, dense}) {
     std::vector<real_t> ord(d.size()), unord(d.size());
     ASSERT_TRUE(apply_in_order(
-        [&] { cpu::spmv_semiring<cpu::MinPlus>(g, d, ord, 8); }));
+        [&] { eng.spmv_semiring<cpu::MinPlus>(d, ord); }));
     ASSERT_TRUE(bitwise_equal(ord, minplus_reference(A, d)));
     for (int rep = 0; rep < kSemiringPooledReps; ++rep) {
-      cpu::spmv_semiring<cpu::MinPlus>(g, d, unord, 8);
+      eng.spmv_semiring<cpu::MinPlus>(d, unord);
       ASSERT_TRUE(bitwise_equal(ord, unord)) << "rep " << rep;
     }
   }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "yaspmv/formats/csr.hpp"
 #include "yaspmv/gen/suite.hpp"
 #include "yaspmv/util/rng.hpp"
@@ -12,8 +14,8 @@
 namespace yaspmv {
 namespace {
 
-core::Bccoo scalar_bccoo(const fmt::Coo& A) {
-  return core::Bccoo::build(A, {});
+std::shared_ptr<const core::Bccoo> scalar_bccoo(const fmt::Coo& A) {
+  return std::make_shared<const core::Bccoo>(core::Bccoo::build(A, {}));
 }
 
 TEST(Semiring, PlusTimesMatchesStandardSpmv) {
@@ -24,7 +26,7 @@ TEST(Semiring, PlusTimesMatchesStandardSpmv) {
   for (auto& v : x) v = rng.next_double(-1, 1);
   fmt::Csr::from_coo(A).spmv(x, want);
   for (unsigned t : {1u, 4u}) {
-    cpu::spmv_semiring<cpu::PlusTimes>(m, x, got, t);
+    cpu::CpuSpmv(m, t).spmv_semiring<cpu::PlusTimes>(x, got);
     for (std::size_t i = 0; i < 400; ++i) {
       ASSERT_NEAR(got[i], want[i], 1e-9 * std::max(1.0, std::abs(want[i])))
           << "threads=" << t;
@@ -39,14 +41,15 @@ TEST(Semiring, MinPlusSingleRelaxation) {
   const auto m = scalar_bccoo(At);
   const real_t inf = std::numeric_limits<real_t>::infinity();
   std::vector<real_t> d = {0.0, inf, inf}, nd(3);
-  cpu::spmv_semiring<cpu::MinPlus>(m, d, nd);
+  cpu::CpuSpmv eng(m, 1);
+  eng.spmv_semiring<cpu::MinPlus>(d, nd);
   EXPECT_EQ(nd[0], inf);  // nothing points at 0
   EXPECT_EQ(nd[1], 5.0);
   EXPECT_EQ(nd[2], inf);  // d[1] was inf
   // Second relaxation reaches node 2.
   for (int i = 0; i < 3; ++i) d[static_cast<std::size_t>(i)] =
       std::min(d[static_cast<std::size_t>(i)], nd[static_cast<std::size_t>(i)]);
-  cpu::spmv_semiring<cpu::MinPlus>(m, d, nd);
+  eng.spmv_semiring<cpu::MinPlus>(d, nd);
   EXPECT_EQ(nd[2], 12.0);
 }
 
@@ -92,8 +95,9 @@ TEST(Semiring, MinPlusBellmanFordMatchesDijkstraReference) {
   std::vector<real_t> d(static_cast<std::size_t>(n), inf),
       nd(static_cast<std::size_t>(n));
   d[0] = 0.0;
+  cpu::CpuSpmv eng(m, 3);
   for (index_t it = 0; it < n; ++it) {
-    cpu::spmv_semiring<cpu::MinPlus>(m, d, nd, 3);
+    eng.spmv_semiring<cpu::MinPlus>(d, nd);
     bool changed = false;
     for (std::size_t i = 0; i < d.size(); ++i) {
       if (nd[i] < d[i]) {
@@ -118,7 +122,7 @@ TEST(Semiring, OrAndBfsFrontier) {
                                           {1.0, 1.0, 1.0});
   const auto m = scalar_bccoo(At);
   std::vector<real_t> f = {1, 0, 0, 0}, nf(4);
-  cpu::spmv_semiring<cpu::OrAnd>(m, f, nf);
+  cpu::CpuSpmv(m, 1).spmv_semiring<cpu::OrAnd>(f, nf);
   EXPECT_EQ(nf, (std::vector<real_t>{0, 1, 0, 1}));
 }
 
@@ -126,7 +130,7 @@ TEST(Semiring, MaxTimesPropagatesProbabilities) {
   const auto At = fmt::Coo::from_triplets(2, 2, {1, 1}, {0, 1}, {0.5, 0.9});
   const auto m = scalar_bccoo(At);
   std::vector<real_t> p = {0.8, 0.3}, np(2);
-  cpu::spmv_semiring<cpu::MaxTimes>(m, p, np);
+  cpu::CpuSpmv(m, 1).spmv_semiring<cpu::MaxTimes>(p, np);
   EXPECT_DOUBLE_EQ(np[1], std::max(0.8 * 0.5, 0.3 * 0.9));
 }
 
@@ -145,7 +149,7 @@ TEST(Semiring, LongSegmentAcrossChunks) {
                                           std::move(ci), std::move(w));
   const auto m = scalar_bccoo(At);
   std::vector<real_t> d(3000, 1.0), nd(1);
-  cpu::spmv_semiring<cpu::MinPlus>(m, d, nd, 8);
+  cpu::CpuSpmv(m, 8).spmv_semiring<cpu::MinPlus>(d, nd);
   EXPECT_DOUBLE_EQ(nd[0], best);
 }
 
@@ -154,10 +158,10 @@ TEST(Semiring, RejectsBlockedFormatForExoticSemirings) {
   core::FormatConfig fc;
   fc.block_w = 2;
   fc.block_h = 2;
-  const auto m = core::Bccoo::build(A, fc);
+  cpu::CpuSpmv eng(std::make_shared<const core::Bccoo>(core::Bccoo::build(A, fc)),
+                   1);
   std::vector<real_t> x(25, 1.0), y(25);
-  EXPECT_THROW(cpu::spmv_semiring<cpu::MinPlus>(m, x, y),
-               std::invalid_argument);
+  EXPECT_THROW(eng.spmv_semiring<cpu::MinPlus>(x, y), std::invalid_argument);
 }
 
 }  // namespace

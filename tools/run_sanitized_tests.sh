@@ -2,10 +2,11 @@
 # Builds the test suite under sanitizers and runs it, in two passes:
 #
 #   address  ASan + UBSan over the full suite               (build-asan)
-#   thread   TSan over the tsan/replay/serve/integrity/shard-labeled suites
+#   thread   TSan over the tsan/replay/serve/integrity/stream-labeled suites
 #            (build-tsan) — chaos_test + workpool_test + segsum_modes_test +
 #            compressed_test + vecops_test + solver_determinism_test +
-#            kernel_grid_test + replay_test, the ones
+#            kernel_grid_test + replay_test (with its five replay_stress
+#            entries), the ones
 #            that exercise the persistent WorkPool (reuse across launches,
 #            concurrent submitters, unordered chunk claims and the
 #            speculative carry fix-up, the parallel tuner sweep and BCCOO
@@ -17,9 +18,7 @@
 #            concurrent clients; plus integrity_test + ladder_test, whose
 #            checksum-verified applies, fault-injected rollbacks and
 #            serve-ladder rebuilds run on the multi-threaded CpuSpmv chunk
-#            pass; plus shard_test +
-#            stream_test, which drive the NUMA shard-affinity schedule
-#            (run_sharded spill, first-touch fills) and the out-of-core
+#            pass; plus stream_test, which drives the out-of-core
 #            streaming engine through the serving daemon.
 #
 # Both passes run even when the first one fails; the script exits nonzero
@@ -56,9 +55,9 @@ run_tsan() {
     --target chaos_test workpool_test segsum_modes_test compressed_test \
              vecops_test solver_determinism_test kernel_grid_test \
              replay_test serve_test serve_chaos_test integrity_test \
-             ladder_test shard_test stream_test
+             ladder_test stream_test
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-    ctest --test-dir "$build" -L "tsan|replay|serve|integrity|shard" \
+    ctest --test-dir "$build" -L "tsan|replay|serve|integrity|stream" \
       --output-on-failure "$@"
 }
 

@@ -158,8 +158,7 @@ int main(int argc, char** argv) {
                 << "\napply_threads " << s.apply_threads << "\ngrid_plans "
                 << s.grid_plans << "\ngeneric_plans " << s.generic_plans
                 << "\nstream_registered " << s.stream_registered
-                << "\nstream_applies " << s.stream_applies
-                << "\nshard_domains " << s.shard_domains << "\n";
+                << "\nstream_applies " << s.stream_applies << "\n";
       return 0;
     }
     if (cmd == "shutdown") {

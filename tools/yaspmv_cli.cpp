@@ -55,9 +55,6 @@ int usage() {
       " [--out=<y.txt>]\n"
       "          [--cols=auto|raw|short|delta]  column stream for the native\n"
       "          kernel; [--no-delta-decode] = --cols=raw escape hatch\n"
-      "          [--shards=N]  NUMA locality domains for the chunk/combine\n"
-      "          passes (0 = probe the machine / YASPMV_NUMA; default 1;\n"
-      "          bitwise identical to 1 shard at fixed threads+level)\n"
       "          [--stream-file=<file.bccoo>]  out-of-core mode: mmap the\n"
       "          container and stream the apply tile by tile (nothing\n"
       "          matrix-sized resident; bitwise equal to the in-memory\n"
@@ -452,8 +449,7 @@ int cmd_spmv(const Args& args) {
           "spmv: --kernel must be auto or generic");
   const auto kd = kdreq == "generic" ? cpu::grid::KernelDispatch::kGeneric
                                      : cpu::grid::KernelDispatch::kAuto;
-  const auto shards = static_cast<unsigned>(args.get_int("shards", 1));
-  cpu::CpuSpmv eng(m, threads, cs, kd, shards);
+  cpu::CpuSpmv eng(m, threads, cs, kd);
   SplitMix64 rng(0x5eed);
   std::vector<real_t> x(static_cast<std::size_t>(m->cols));
   for (auto& v : x) v = rng.next_double(-1, 1);
@@ -465,10 +461,7 @@ int cmd_spmv(const Args& args) {
   const double gbs = static_cast<double>(m->traffic_bytes(eng.col_stream())) /
                      (ms * 1e-3) / 1e9;
   std::cout << m->rows << " x " << m->cols << ": " << ms << " ms/SpMV on "
-            << eng.threads() << " thread(s)";
-  if (eng.shard_count() > 1) std::cout << " / " << eng.shard_count()
-                                       << " shard(s)";
-  std::cout << ", cols="
+            << eng.threads() << " thread(s), cols="
             << core::to_string(eng.col_stream()) << ", kernel="
             << eng.kernel_id() << ", "
             << m->traffic_bytes(eng.col_stream()) << " bytes/SpMV (" << gbs
