@@ -13,13 +13,18 @@
 // --json=- disables the file) records iterations/s serial vs fused, the
 // speedup, the time split between the SpMV applies and the vector ops of
 // the fused run, and an effective-bandwidth figure from the per-iteration
-// bytes the loop touches (format traffic + the vector sweeps).  The binary
-// re-validates its own JSON and fails the run if it does not parse — the
-// bench-smoke-solver CI test asserts exactly that.
+// bytes the loop touches (format traffic + the vector sweeps).
+// --threads=1,2,4 runs every matrix once per thread count: the block above
+// comes from the first count, and a per-matrix `thread_series` records the
+// fused CG and BiCGStab iterations/s and their SpMV and vector seconds per
+// iteration at each count.  The binary re-validates its own JSON and fails
+// the run if it does not parse — the bench-smoke-solver CI test asserts
+// exactly that.
 #include "bench_common.hpp"
 
 #include <cmath>
 #include <fstream>
+#include <sstream>
 
 #include "yaspmv/cpu/spmv.hpp"
 #include "yaspmv/solvers/solvers.hpp"
@@ -134,8 +139,14 @@ double fin(double v) { return std::isfinite(v) ? v : 0.0; }
 int main(int argc, char** argv) {
   using namespace yaspmv;
   const Args args(argc, argv);
-  const auto threads = static_cast<unsigned>(
-      args.get_int("threads", static_cast<long>(default_workers())));
+  std::vector<unsigned> thread_list;
+  std::stringstream thread_arg(
+      args.get("threads", std::to_string(default_workers())));
+  for (std::string tok; std::getline(thread_arg, tok, ',');) {
+    thread_list.push_back(static_cast<unsigned>(std::stoul(tok)));
+  }
+  require(!thread_list.empty(), "--threads needs at least one count");
+  const unsigned threads = thread_list.front();
   const long iters = args.get_int("iters", 200);
   const double mult = args.get_double("scale", 1.0);
   const std::string only = args.get("matrix", "");
@@ -170,6 +181,9 @@ int main(int argc, char** argv) {
             << cpu::simd::to_string(cpu::simd::active()) << ") ===\n\n";
   TablePrinter t({"Name", "n", "NNZ", "CG ser it/s", "CG fus it/s", "CG x",
                   "BiCG ser it/s", "BiCG fus it/s", "BiCG x"});
+  TablePrinter ts({"Name", "threads", "CG it/s", "CG spmv us/it",
+                   "CG vec us/it", "BiCG it/s", "BiCG spmv us/it",
+                   "BiCG vec us/it"});
 
   json::Writer w;
   w.begin_object();
@@ -191,8 +205,6 @@ int main(int argc, char** argv) {
 
   for (const auto& [name, A] : cases) {
     const auto n = static_cast<std::size_t>(A.rows);
-    TimedOp op(A, threads);
-    LegacyOp legacy(A, threads);
     const auto b = bench::random_x(A.rows);
     std::vector<real_t> x_serial(n, 0.0), x_fused(n, 0.0);
 
@@ -204,8 +216,9 @@ int main(int argc, char** argv) {
         static_cast<double>(fmt_built.traffic_bytes(core::ColStream::kAuto)) +
         16.0 * static_cast<double>(n);  // + x read + y write
 
-    const auto run_solver = [&](auto&& serial_fn, auto&& fused_fn,
-                                double spmvs_per_iter, double vec_elems) {
+    const auto run_solver = [&](TimedOp& op, auto&& serial_fn,
+                                auto&& fused_fn, double spmvs_per_iter,
+                                double vec_elems) {
       SolverRun out;
       std::fill(x_serial.begin(), x_serial.end(), 0.0);
       std::fill(x_fused.begin(), x_fused.end(), 0.0);
@@ -243,14 +256,23 @@ int main(int argc, char** argv) {
       return out;
     };
 
-    const SolverRun cg_run = run_solver(
-        [&] { return solver::serial::cg(legacy, b, x_serial, opt); },
-        [&] { return solver::cg(op, b, x_fused, opt); }, 1.0,
-        11.0 * static_cast<double>(n));
-    const SolverRun bicg_run = run_solver(
-        [&] { return solver::serial::bicgstab(legacy, b, x_serial, opt); },
-        [&] { return solver::bicgstab(op, b, x_fused, opt); }, 2.0,
-        19.0 * static_cast<double>(n));
+    // One (CG, BiCGStab) pair of runs per requested thread count.
+    std::vector<std::pair<SolverRun, SolverRun>> points;
+    for (const unsigned nt : thread_list) {
+      TimedOp op(A, nt);
+      LegacyOp legacy(A, nt);
+      const SolverRun cg_point = run_solver(
+          op, [&] { return solver::serial::cg(legacy, b, x_serial, opt); },
+          [&] { return solver::cg(op, b, x_fused, opt); }, 1.0,
+          11.0 * static_cast<double>(n));
+      const SolverRun bicg_point = run_solver(
+          op,
+          [&] { return solver::serial::bicgstab(legacy, b, x_serial, opt); },
+          [&] { return solver::bicgstab(op, b, x_fused, opt); }, 2.0,
+          19.0 * static_cast<double>(n));
+      points.emplace_back(cg_point, bicg_point);
+    }
+    const auto& [cg_run, bicg_run] = points.front();
 
     log_speedup_cg += std::log(std::max(cg_run.speedup, 1e-12));
     log_speedup_bicg += std::log(std::max(bicg_run.speedup, 1e-12));
@@ -288,7 +310,45 @@ int main(int argc, char** argv) {
     solver_obj("cg", cg_run);
     solver_obj("bicgstab", bicg_run);
     w.end_object();
+    // Per-iteration figures of the fused run at each thread count.
+    const auto per_iter = [](const SolverRun& r, double s) {
+      return r.iters_fused > 0 ? fin(s / static_cast<double>(r.iters_fused))
+                               : 0.0;
+    };
+    const auto series = [&](const char* key, bool cg) {
+      const auto arr = [&](const char* k, auto&& f) {
+        w.key(k).begin_array();
+        for (const auto& pt : points) w.value(f(cg ? pt.first : pt.second));
+        w.end_array();
+      };
+      w.key(key).begin_object();
+      arr("iters_per_s", [&](const SolverRun& r) { return fin(r.ips_fused); });
+      arr("spmv_s_per_iter",
+          [&](const SolverRun& r) { return per_iter(r, r.spmv_seconds); });
+      arr("vec_s_per_iter", [&](const SolverRun& r) {
+        return per_iter(r, std::max(0.0, r.seconds_fused - r.spmv_seconds));
+      });
+      w.end_object();
+    };
+    w.key("thread_series").begin_object();
+    w.key("threads").begin_array();
+    for (const unsigned nt : thread_list) w.value(nt);
+    w.end_array();
+    series("cg", true);
+    series("bicgstab", false);
     w.end_object();
+    w.end_object();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const auto& [c, bi] = points[i];
+      const auto us = [&](const SolverRun& r, double s) {
+        return TablePrinter::fmt(1e6 * per_iter(r, s), 1);
+      };
+      ts.add_row({name, std::to_string(thread_list[i]),
+                  TablePrinter::fmt(c.ips_fused, 0), us(c, c.spmv_seconds),
+                  us(c, std::max(0.0, c.seconds_fused - c.spmv_seconds)),
+                  TablePrinter::fmt(bi.ips_fused, 0), us(bi, bi.spmv_seconds),
+                  us(bi, std::max(0.0, bi.seconds_fused - bi.spmv_seconds))});
+    }
   }
   w.end_array();
   const double geo_cg =
@@ -302,6 +362,8 @@ int main(int argc, char** argv) {
   w.end_object();
 
   t.print();
+  std::cout << "\nFused loops per thread count:\n";
+  ts.print();
   std::cout << "\n(tolerance-0 runs capped at " << iters
             << " iterations; 'x' = fused/serial iterations-per-second "
                "ratio)\n"

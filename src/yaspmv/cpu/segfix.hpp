@@ -31,8 +31,13 @@
 // Determinism: every FP operation's operand pairing is a pure function of
 // (nchunks, lanes, threads) — the group bounds, the tree shape, and the
 // in-group fold order do not depend on which worker ran what or when.  So
-// the unordered claims produce the bits an in-order run would, and a fixed
+// pooled execution produces the bits an in-order run would, and a fixed
 // (threads, level) is bitwise reproducible run-to-run.
+//
+// Locality: passes A and C run on the pool's owner map, like the chunk
+// pass.  When threads <= cores, group g is the chunk range
+// [g·nchunks/threads, (g+1)·nchunks/threads) that worker g has just run,
+// so each worker folds and applies panels its own core wrote.
 #pragma once
 
 #include <algorithm>

@@ -54,9 +54,9 @@ struct PlusTimes {
   static real_t mul(real_t a, real_t b) { return a * b; }
 };
 
-/// CpuSpmv::spmv_semiring: unordered chunk claims plus the speculative
-/// fix-up, like spmv (S::add must be associative for the split to be
-/// valid; all of the above are).  For the exact-absorbing semirings
+/// CpuSpmv::spmv_semiring: the chunk pass on the pool's owner map plus the
+/// speculative fix-up, like spmv (S::add must be associative for the split
+/// to be valid; all of the above are).  For the exact-absorbing semirings
 /// (min/max/or) the tree combine is not merely deterministic but equal to a
 /// serial left fold.  Reads the raw column stream.
 template <class S>

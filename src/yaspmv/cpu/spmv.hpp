@@ -13,11 +13,13 @@
 //   * the speculative sums are repaired by the carry-chain-free fix-up of
 //     cpu/segfix.hpp (per-group folds, a grid-shaped Blelloch scan, and a
 //     parallel apply) in place of the paper's adjacent-synchronization
-//     chain; chunks are claimed *unordered*, so no global in-order ticket
-//     is contended.
+//     chain, so no chunk waits on another.
 //
 // Execution substrate: chunks run on the shared persistent WorkPool
-// (util/thread_pool.hpp) — no thread spawn/join per call.  The per-chunk
+// (util/thread_pool.hpp) — no thread spawn/join per call — under its owner
+// map: worker w runs the same contiguous range of chunks on every apply,
+// the paper's fixed per-thread tile, so its part of the matrix and of y
+// stays in its core's cache across a solver's iterations.  The per-chunk
 // segmented sum is one template body, cpu/kernels_grid.hpp's run_chunk: a
 // specialized grid instance when the (block_w, block_h, stream) config has
 // one, its runtime instance ("generic") otherwise.  Both use the
@@ -175,6 +177,15 @@ class CpuSpmv {
   const char* kernel_id() const { return kernel_id_; }
   /// True when the engine runs a specialized grid kernel.
   bool specialized() const { return chunk_fn_ != grid::kGenericChunk; }
+  /// The chunk grid: chunk c covers blocks [chunk_starts()[c],
+  /// chunk_starts()[c + 1]) and opens at segment chunk_first_segs()[c].
+  std::span<const std::size_t> chunk_starts() const { return chunk_start_; }
+  std::span<const index_t> chunk_first_segs() const {
+    return chunk_first_seg_;
+  }
+  /// Stacked block rows no segment covers, cleared per apply (filled only
+  /// when the workers write y in place: one slice, no padded rows).
+  std::span<const std::size_t> uncovered_rows() const { return zero_rows_; }
 
   /// Fault-injection hook (tests/chaos tooling): when set, the armed
   /// kFlipPartial plan can flip one bit of one per-chunk partial sum
@@ -366,27 +377,25 @@ class CpuSpmv {
 /// choice — a fused pass reads each non-zero (value, column, bit flag)
 /// once and accumulates all k right-hand sides together, which is the
 /// classic SpMM win over k SpMV calls; blocked formats fall back to the
-/// per-vector path.  The fused path's chunk decomposition, row-stop scans
-/// and uncovered-row list are precomputed in the constructor (next to the
-/// CpuSpmv precomputation); the first/carry panels are cached across calls
-/// and only reallocated when k changes.  Like CpuSpmv, covered rows are
-/// assigned (not accumulated), so no full panel clear happens per call.
+/// per-vector path.  The fused path runs on its CpuSpmv's chunk grid,
+/// first-segment ordinals and uncovered-row list, so a worker runs the same
+/// chunks in both; the first/carry panels are cached across calls and only
+/// reallocated when k changes.  Like CpuSpmv, covered rows
+/// are assigned (not accumulated), so no full panel clear happens per call.
 class CpuSpmm {
  public:
   explicit CpuSpmm(std::shared_ptr<const core::Bccoo> m, unsigned threads = 0,
                    core::ColStream cs = core::ColStream::kAuto,
                    grid::KernelDispatch kd = grid::KernelDispatch::kAuto)
-      : fmt_(std::move(m)),
-        eng_(fmt_, threads, cs, kd),
-        threads_(threads == 0 ? default_workers() : threads),
-        cs_(fmt_->resolve_col_stream(cs)) {
+      : fmt_(std::move(m)), eng_(fmt_, threads, cs, kd) {
     const auto& f = *fmt_;
     if (f.cfg.block_w == 1 && f.cfg.block_h == 1 && f.cfg.slices == 1) {
       // The fused panel pass reuses the specialization grid: its block dims
       // are 1x1 by construction, so only the column stream is burned in.
       // Same fallback rule as CpuSpmv (kGeneric stays generic).
       if (kd == grid::KernelDispatch::kAuto) {
-        if (const grid::SpmmGridEntry* e = grid::find_spmm(cs_)) {
+        if (const grid::SpmmGridEntry* e =
+                grid::find_spmm(eng_.col_stream())) {
           spmm_fn_ = e->fn;
           kernel_id_ = e->id;
         }
@@ -394,34 +403,6 @@ class CpuSpmm {
     } else {
       // Blocked/sliced formats run k per-vector applies through eng_.
       kernel_id_ = eng_.kernel_id();
-    }
-    if (f.cfg.block_w == 1 && f.cfg.block_h == 1 && f.cfg.slices == 1 &&
-        f.num_blocks > 0) {
-      // Hoisted per-call work of the fused pass: chunk boundaries (rounded
-      // down to decode-tile granularity, like CpuSpmv) and the
-      // count_zeros_before scans (O(num_blocks) each) happen once here.
-      const std::size_t nb = f.num_blocks;
-      const std::size_t nchunks =
-          std::max<std::size_t>(1, std::min<std::size_t>(threads_ * 4, nb));
-      starts_.resize(nchunks + 1);
-      first_seg_.resize(nchunks + 1);
-      for (std::size_t c = 0; c <= nchunks; ++c) {
-        std::size_t s = c * nb / nchunks;
-        if (c != 0 && c != nchunks) {
-          s = s / core::Bccoo::kColTile * core::Bccoo::kColTile;
-        }
-        starts_[c] = s;
-        first_seg_[c] =
-            static_cast<index_t>(f.bit_flags.count_zeros_before(starts_[c]));
-      }
-      // Rows no segment covers: the only ones the fused pass must clear.
-      std::vector<bool> covered(static_cast<std::size_t>(f.rows), false);
-      for (const index_t r : f.seg_to_block_row) {
-        covered[static_cast<std::size_t>(r)] = true;
-      }
-      for (std::size_t r = 0; r < covered.size(); ++r) {
-        if (!covered[r]) zero_rows_.push_back(r);
-      }
     }
   }
 
@@ -441,7 +422,8 @@ class CpuSpmm {
                         static_cast<std::size_t>(k)) {
       require(false, "CpuSpmm[" + std::to_string(f.cfg.block_w) + "x" +
                          std::to_string(f.cfg.block_h) + "/" +
-                         core::to_string(cs_) + "]: panel size mismatch: "
+                         core::to_string(eng_.col_stream()) +
+                         "]: panel size mismatch: "
                          "got X[" + std::to_string(X.size()) + "] Y[" +
                          std::to_string(Y.size()) + "], need X[" +
                          std::to_string(static_cast<std::size_t>(f.cols) *
@@ -476,10 +458,14 @@ class CpuSpmm {
       std::fill(Y.begin(), Y.end(), 0.0);
       return;
     }
-    for (const std::size_t r : zero_rows_) {
+    // 1x1 blocks in one slice: eng_ writes y in place, so its uncovered
+    // stacked block rows are the panel rows no segment covers.
+    for (const std::size_t r : eng_.uncovered_rows()) {
       for (std::size_t j = 0; j < kz; ++j) Y[j * rowsz + r] = 0.0;
     }
-    const std::size_t nchunks = starts_.size() - 1;
+    const std::span<const std::size_t> starts = eng_.chunk_starts();
+    const std::span<const index_t> first_seg = eng_.chunk_first_segs();
+    const std::size_t nchunks = starts.size() - 1;
     // Panel scratch (k values per chunk) is cached across calls; the per
     // chunk accumulator panel lives here too so the workers allocate
     // nothing.
@@ -492,25 +478,27 @@ class CpuSpmm {
 
     // The kernel (a grid instance or the runtime one) was resolved at
     // construction, like CpuSpmv::spmv's.
-    const grid::SpmmCtx gctx{fmt_.get(),      starts_.data(),
-                             first_seg_.data(), firsts_.data(),
-                             carries_.data(), acc_panel_.data(), cs_};
+    const grid::SpmmCtx gctx{fmt_.get(),       starts.data(),
+                             first_seg.data(), firsts_.data(),
+                             carries_.data(),  acc_panel_.data(),
+                             eng_.col_stream()};
     const grid::SpmmKernelFn fn = spmm_fn_;
-    parallel_for_unordered(nchunks, threads_, [&](unsigned, std::size_t c) {
+    parallel_for_unordered(nchunks, eng_.threads(),
+                           [&](unsigned, std::size_t c) {
       fn(gctx, c, X.data(), Y.data(), kz, colsz, rowsz);
     });
 
     // Fix-up assigns, same injectivity argument as CpuSpmv::spmv.
     const simd::AccAddFn aadd = simd::acc_add();
     speculative_fixup(
-        nchunks, kz, threads_, first_seg_.data(), firsts_.data(),
+        nchunks, kz, eng_.threads(), first_seg.data(), firsts_.data(),
         carries_.data(), 0.0,
         [aadd, kz](real_t* dst, const real_t* src) { aadd(dst, src, kz); },
         [&](std::size_t c, const real_t* inc) {
           // Y panels are column-major, so the chunk's first-segment row is
           // strided — apply lane by lane.
           const auto row = static_cast<std::size_t>(
-              f.seg_to_block_row[static_cast<std::size_t>(first_seg_[c])]);
+              f.seg_to_block_row[static_cast<std::size_t>(first_seg[c])]);
           const real_t* fi = firsts_.data() + c * kz;
           for (std::size_t j = 0; j < kz; ++j) {
             Y[j * rowsz + row] = inc[j] + fi[j];
@@ -521,25 +509,20 @@ class CpuSpmm {
 
   std::shared_ptr<const core::Bccoo> fmt_;
   CpuSpmv eng_;
-  unsigned threads_;
-  core::ColStream cs_;
   grid::SpmmKernelFn spmm_fn_ = grid::kGenericSpmmChunk;  ///< fused pass
   const char* kernel_id_ = "generic";     ///< stable dispatch id
   FixupScratch fix_;
-  // Fused-path precomputation (1x1 blocks, 1 slice): chunk starts and the
-  // first-segment ordinals, plus the cached per-chunk panels.
-  std::vector<std::size_t> starts_;
-  std::vector<index_t> first_seg_;
+  // Fused-path per-chunk panels (1x1 blocks, 1 slice), cached across calls.
   std::vector<real_t> firsts_;
   std::vector<real_t> carries_;
   std::vector<real_t> acc_panel_;
-  std::vector<std::size_t> zero_rows_;
   std::size_t panels_k_ = 0;
 };
 
-/// Parallel CSR SpMV baseline (row-range partitioning) for the CPU benches.
-/// The row dot products run on the same SIMD dot kernel as the BCCOO path
-/// (CSR rows are exactly stop-free segment pieces).
+/// Parallel CSR SpMV baseline (row-range partitioning) for the CPU benches
+/// and the spmv ladder's last rung.  The row dot products run on the same
+/// SIMD dot kernel as the BCCOO path (CSR rows are exactly stop-free
+/// segment pieces).
 inline void spmv_csr_parallel(const fmt::Csr& m, std::span<const real_t> x,
                               std::span<real_t> y, unsigned threads = 0) {
   require(x.size() == static_cast<std::size_t>(m.cols) &&
@@ -549,13 +532,21 @@ inline void spmv_csr_parallel(const fmt::Csr& m, std::span<const real_t> x,
   const std::size_t chunks = std::min<std::size_t>(
       threads * 4, std::max<std::size_t>(1, static_cast<std::size_t>(m.rows)));
   const simd::DotRangeFn dot = simd::dot_range();
-  // Row ranges are independent (disjoint y writes, no carries), so the
-  // unordered claim is bitwise identical and skips the per-range ticket.
+  // Each row range holds about nnz / chunks non-zeros (cut by binary search
+  // in row_ptr), so the owner map's equal shares of ranges are equal shares
+  // of the work on a skewed matrix too.  Rows are independent (disjoint y
+  // writes, no carries), so where the cuts fall never changes a bit of y.
+  const auto nnz = static_cast<std::size_t>(m.row_ptr.back());
+  const auto cut = [&](std::size_t c) {
+    if (c == chunks) return m.rows;  // trailing empty rows included
+    const auto want = static_cast<index_t>(c * nnz / chunks);
+    const auto first = m.row_ptr.begin();
+    return static_cast<index_t>(
+        std::lower_bound(first, first + m.rows, want) - first);
+  };
   parallel_for_unordered(chunks, threads, [&](unsigned, std::size_t c) {
-    const auto r0 = static_cast<index_t>(
-        c * static_cast<std::size_t>(m.rows) / chunks);
-    const auto r1 = static_cast<index_t>(
-        (c + 1) * static_cast<std::size_t>(m.rows) / chunks);
+    const index_t r0 = cut(c);
+    const index_t r1 = cut(c + 1);
     const real_t* vals = m.vals.data();
     const index_t* cols = m.col_idx.data();
     const real_t* xv = x.data();

@@ -8,7 +8,13 @@
 // collapse adjacent sweeps into one pass) is provided in two runtime-
 // dispatched implementations — AVX2/FMA and a portable four-accumulator
 // fallback — sharing the dispatch level of cpu/simd.hpp, and runs on the
-// shared WorkPool.
+// shared WorkPool's owner map (parallel_for_unordered): no chunk body waits
+// on another, and worker w owns the same contiguous chunk range on every
+// call.  CpuSpmv's chunk pass splits the nonzeros the same way, in worker
+// order, so when the vector has one chunk per worker (16,384 rows at 2
+// threads) worker w's elements are about the rows its apply chunks wrote,
+// and a solver iteration finds its part of p, Ap, x and r in that core's
+// cache.
 //
 // Determinism contract (stronger than the SpMV kernels'): the chunk grid is
 // a pure function of the vector length (fixed kChunk elements per chunk,
@@ -714,7 +720,7 @@ class VecOps {
   template <class Body>
   void launch(std::size_t n, Body&& body) {
     const std::size_t nc = chunk_count(n);
-    parallel_for_ordered(nc, threads_, [&](unsigned, std::size_t c) {
+    parallel_for_unordered(nc, threads_, [&](unsigned, std::size_t c) {
       const std::size_t lo = c * kChunk;
       body(c, lo, std::min(lo + kChunk, n));
     });
@@ -727,7 +733,7 @@ class VecOps {
     const std::size_t nc = chunk_count(n);
     if (nc <= 1) return n == 0 ? 0.0 : f(std::size_t{0}, n);
     if (part_.size() < nc) part_.resize(nc);
-    parallel_for_ordered(nc, threads_, [&](unsigned, std::size_t c) {
+    parallel_for_unordered(nc, threads_, [&](unsigned, std::size_t c) {
       const std::size_t lo = c * kChunk;
       part_[c] = f(lo, std::min(lo + kChunk, n));
     });
@@ -749,7 +755,7 @@ class VecOps {
       return out;
     }
     if (part_.size() < 2 * nc) part_.resize(2 * nc);
-    parallel_for_ordered(nc, threads_, [&](unsigned, std::size_t c) {
+    parallel_for_unordered(nc, threads_, [&](unsigned, std::size_t c) {
       const std::size_t lo = c * kChunk;
       f(lo, std::min(lo + kChunk, n), &part_[2 * c]);
     });

@@ -1,7 +1,8 @@
 // Persistent worker pool shared by every native execution path: the CPU
-// SpMV/SpMM kernels, the parallel CSR baseline, the simulator's workgroup
-// dispatcher and the parallel auto-tuner all run on the same parked OS
-// threads instead of paying a std::thread spawn/join cycle per call.
+// SpMV/SpMM kernels, the parallel CSR baseline, the solvers' vector ops, the
+// simulator's workgroup dispatcher and the parallel auto-tuner all run on
+// the same parked OS threads instead of paying a std::thread spawn/join
+// cycle per call.
 //
 // Two dispatch modes share the parked threads:
 //
@@ -10,21 +11,26 @@
 //                  workgroup-dispatch assumption (Section 3.2.4): the
 //                  adjacent-synchronization chain cannot deadlock because
 //                  workgroup X is only executed after workgroup X-1 has been
-//                  *claimed* by some worker.  Every requested worker gets a
-//                  real OS thread (a body may spin on another body's
-//                  progress, so parking a requested worker could deadlock).
+//                  *claimed* by some worker.  Every requested worker, up to
+//                  one per item, gets a real OS thread (a body may spin on
+//                  another body's progress, so parking a requested worker
+//                  could deadlock).
 //
-//   run_unordered  no claim-order guarantee: workers grab *contiguous index
-//                  ranges* from an atomic cursor, in whatever order they get
-//                  there.  Only valid for bodies whose result is independent
-//                  of which thread runs which index (disjoint writes, no
-//                  cross-body waiting) — which is exactly what lets the pool
-//                  cap live threads at the hardware concurrency instead of
-//                  oversubscribing to the requested count.  Callers keep
-//                  deriving their decomposition from the *requested* count,
-//                  so results stay bitwise reproducible per requested count
-//                  while execution never pays for threads the machine does
-//                  not have.
+//   run_unordered  owner computes: no claims at all.  With
+//                  live = min(requested, hardware, n) participants, worker w
+//                  runs indices [w·n/live, (w+1)·n/live) in increasing
+//                  order, worker 0 being the submitter.  Only valid for
+//                  bodies whose result is independent of which thread runs
+//                  which index (disjoint writes, no cross-body waiting) —
+//                  which is what lets the pool cap live threads at the
+//                  hardware concurrency.  Callers derive their
+//                  decomposition from the *requested* count, so results
+//                  stay bitwise reproducible per requested count, and the
+//                  map is a fixed function of (n, requested): a caller that
+//                  cuts the same n items every call (the apply's chunks, the
+//                  solver's vector chunks) finds each worker's data in that
+//                  worker's cache on the next call (bsg_replicant's
+//                  `for (i = __bsg_id; i < n; i += THREADS)`, in ranges).
 //
 // A launch wakes and waits for only its own participants: workers
 // 1..limit-1 each get their own cache-line slot bumped, and one counter of
@@ -39,7 +45,7 @@
 //
 // The body parameter is a template (one type-erased call per *launch*, not a
 // std::function indirection per index), so chunk kernels inline into the
-// claim loop.  Nested submissions (a body that itself calls
+// worker's loop.  Nested submissions (a body that itself calls
 // parallel_for_ordered, e.g. a tuner candidate launching the simulator) and
 // concurrent submissions from a second OS thread degrade to an inline
 // sequential loop — results are unchanged because every caller derives its
@@ -73,15 +79,13 @@ inline unsigned default_workers() {
 }
 
 /// A persistent pool of parked worker threads executing one job at a time
-/// (ordered ticket or unordered contiguous-range claims — see the file
-/// comment).  The submitting thread participates as worker 0; pool
-/// threads are workers 1..N.  A launch of `limit` workers wakes workers
-/// 1..limit-1 only, and its barrier counts only them.  The pool grows on
-/// demand (up to kMaxWorkers) when a launch requests more workers than are
-/// parked, so a caller asking for 8 workers gets 8 OS threads even on a
-/// smaller machine — exactly what the previous spawn-per-call
-/// implementation provided, which the TSan suites rely on to exercise real
-/// interleavings.
+/// (ordered tickets or the unordered owner map — see the file comment).
+/// The submitting thread participates as worker 0; pool threads are
+/// workers 1..N.  A launch of `limit` workers wakes workers 1..limit-1
+/// only, and its barrier counts only them.  The pool grows on demand (up to
+/// kMaxWorkers) when a launch requests more workers than are parked, so an
+/// ordered launch asking for 8 workers gets 8 OS threads even on a smaller
+/// machine, which the TSan suites rely on to exercise real interleavings.
 class WorkPool {
  public:
   static constexpr unsigned kMaxWorkers = 256;
@@ -118,17 +122,7 @@ class WorkPool {
     return spawned_.load(std::memory_order_relaxed) + 1;
   }
 
-  /// Queue introspection for admission control: pooled launches currently
-  /// executing (0 or 1 — launches are serialized by submit_mu_) plus
-  /// submitters parked waiting for the pool.  A serving layer uses this to
-  /// size its global in-flight cap and to observe saturation: when
-  /// `active_launches() > 1` every additional compute-bound admission only
-  /// deepens the queue, it cannot add parallelism.
-  unsigned active_launches() const {
-    return active_launches_.load(std::memory_order_relaxed);
-  }
-
-  /// The process-wide pool used by parallel_for_ordered.
+  /// The process-wide pool behind the parallel_for_* helpers.
   static WorkPool& shared() {
     static WorkPool pool;
     return pool;
@@ -140,115 +134,63 @@ class WorkPool {
   static bool on_worker_thread() { return tl_in_job_; }
 
   /// Runs `body(worker, i)` for i in [0, n); indices are handed out in
-  /// increasing order and at most `max_workers` threads participate (worker
-  /// ids are < max_workers).  Exceptions thrown by `body` poison the launch
-  /// — remaining tickets are still claimed (preserving the ordered-claim
-  /// invariant) but their bodies are skipped — and the first one is
-  /// rethrown on the submitting thread.
+  /// increasing order and at most min(max_workers, n) threads participate
+  /// (worker ids are below that).  Exceptions thrown by `body` poison the
+  /// launch — remaining tickets are still claimed (preserving the
+  /// ordered-claim invariant) but their bodies are skipped — and the first
+  /// one is rethrown on the submitting thread.
   template <class Body>
   void run_ordered(std::size_t n, unsigned max_workers, Body&& body) {
-    if (n == 0) return;
-    if (max_workers <= 1 || n == 1 || tl_in_job_) {
-      run_inline(n, body);
-      return;
-    }
-    active_launches_.fetch_add(1, std::memory_order_relaxed);
-    struct ActiveGuard {
-      std::atomic<unsigned>& n;
-      ~ActiveGuard() { n.fetch_sub(1, std::memory_order_relaxed); }
-    } active_guard{active_launches_};
-    std::unique_lock<std::mutex> submit(submit_mu_, std::try_to_lock);
-    if (!submit.owns_lock()) {
-      // A second OS thread is mid-launch: degrade to inline execution
-      // rather than blocking (callers' decompositions do not depend on the
-      // executing thread count, so results are identical).
-      run_inline(n, body);
-      return;
-    }
-    if (max_workers > kMaxWorkers) max_workers = kMaxWorkers;
-    ensure_workers(max_workers);
-
+    // n workers cover n items: ticket i-1 is claimed before ticket i, so an
+    // extra worker would only wake to find the counter drained.
+    const auto limit = static_cast<unsigned>(
+        std::min<std::size_t>({max_workers, kMaxWorkers, n}));
     std::atomic<std::size_t> ticket{0};
-    std::atomic<bool> poisoned{false};
-    std::exception_ptr first_error;
-    std::mutex err_mu;
-
+    Poison poison;
     auto runner = [&](unsigned worker) {
       for (;;) {
         const std::size_t i = ticket.fetch_add(1, std::memory_order_relaxed);
         if (i >= n) return;
-        if (poisoned.load(std::memory_order_acquire)) continue;  // drain
+        if (poison.set()) continue;  // drain
         try {
           body(worker, i);
         } catch (...) {
-          std::lock_guard<std::mutex> lk(err_mu);
-          if (!first_error) first_error = std::current_exception();
-          poisoned.store(true, std::memory_order_release);
+          poison.record();
         }
       }
     };
-    launch(max_workers, runner);
-    if (first_error) std::rethrow_exception(first_error);
+    submit(n, limit, runner, body, poison);
   }
 
-  /// Runs `body(worker, i)` for i in [0, n) with NO claim-order guarantee:
-  /// each participating worker grabs a contiguous batch of indices from an
-  /// atomic cursor and executes it, repeating until the range is drained.
-  /// Only valid for bodies whose result does not depend on which worker runs
-  /// which index or in what order (disjoint writes, no cross-index waiting).
-  /// Because no body can wait on another, live threads are capped at the
-  /// hardware concurrency: requesting 16 workers on a 4-core box wakes 4
-  /// threads (or none — max_workers <= 1 after capping runs inline), while
-  /// the caller's decomposition still derives from the requested 16.
-  /// Exceptions poison the launch like run_ordered.
+  /// Runs `body(worker, i)` for i in [0, n) under a fixed owner map: with
+  /// live = min(max_workers, default_workers(), n) participants, worker w
+  /// runs exactly the indices [w·n/live, (w+1)·n/live), in increasing
+  /// order; worker 0 is the submitter.  The map is a pure function of
+  /// (n, max_workers), so launches that repeat a decomposition give each
+  /// worker the same indices every time.  Only valid for bodies whose
+  /// result does not depend on which worker runs which index (disjoint
+  /// writes, no cross-index waiting); since no body waits on another, live
+  /// threads are capped at the hardware concurrency while the caller's
+  /// decomposition still derives from the requested count.  A nested or
+  /// concurrent submission runs every index inline as worker 0.  After a
+  /// body throws, the other workers skip their remaining indices, and the
+  /// first exception is rethrown on the submitting thread.
   template <class Body>
   void run_unordered(std::size_t n, unsigned max_workers, Body&& body) {
-    if (n == 0) return;
-    unsigned live = std::min(max_workers, default_workers());
-    if (live > kMaxWorkers) live = kMaxWorkers;
-    if (live <= 1 || n == 1 || tl_in_job_) {
-      run_inline(n, body);
-      return;
-    }
-    active_launches_.fetch_add(1, std::memory_order_relaxed);
-    struct ActiveGuard {
-      std::atomic<unsigned>& n;
-      ~ActiveGuard() { n.fetch_sub(1, std::memory_order_relaxed); }
-    } active_guard{active_launches_};
-    std::unique_lock<std::mutex> submit(submit_mu_, std::try_to_lock);
-    if (!submit.owns_lock()) {
-      run_inline(n, body);
-      return;
-    }
-    ensure_workers(live);
-
-    // ~4 batches per live worker: coarse enough that the cursor is touched
-    // O(live) times per launch (vs. O(n) ticket bumps in run_ordered), fine
-    // enough that a straggler batch cannot serialize the tail.
-    const std::size_t batch = (n + live * 4 - 1) / (live * 4);
-    std::atomic<std::size_t> cursor{0};
-    std::atomic<bool> poisoned{false};
-    std::exception_ptr first_error;
-    std::mutex err_mu;
-
+    const auto live = static_cast<unsigned>(std::min<std::size_t>(
+        {max_workers, default_workers(), kMaxWorkers, n}));
+    Poison poison;
     auto runner = [&](unsigned worker) {
-      for (;;) {
-        const std::size_t lo =
-            cursor.fetch_add(batch, std::memory_order_relaxed);
-        if (lo >= n) return;
-        const std::size_t hi = std::min(n, lo + batch);
-        if (poisoned.load(std::memory_order_acquire)) continue;  // drain
-        try {
-          for (std::size_t i = lo; i < hi; ++i) body(worker, i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lk(err_mu);
-          if (!first_error) first_error = std::current_exception();
-          poisoned.store(true, std::memory_order_release);
+      const std::size_t hi = (worker + 1) * n / live;
+      try {
+        for (std::size_t i = worker * n / live; i < hi && !poison.set(); ++i) {
+          body(worker, i);
         }
+      } catch (...) {
+        poison.record();
       }
     };
-    launch(live, runner);
-    if (first_error) std::rethrow_exception(first_error);
+    submit(n, live, runner, body, poison);
   }
 
  private:
@@ -265,10 +207,19 @@ class WorkPool {
     std::atomic<std::uint32_t> seq{0};
   };
 
-  template <class Body>
-  static void run_inline(std::size_t n, Body& body) {
-    for (std::size_t i = 0; i < n; ++i) body(0u, i);
-  }
+  /// The first exception a launch's bodies threw; once it is recorded the
+  /// remaining bodies are skipped.
+  struct Poison {
+    std::atomic<bool> flag{false};
+    std::exception_ptr first;
+    std::mutex mu;
+    bool set() const { return flag.load(std::memory_order_acquire); }
+    void record() {
+      std::lock_guard<std::mutex> lk(mu);
+      if (!first) first = std::current_exception();
+      flag.store(true, std::memory_order_release);
+    }
+  };
 
   static void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -307,6 +258,25 @@ class WorkPool {
   void wake(unsigned w) {
     slots_[w].seq.fetch_add(1);
     slots_[w].seq.notify_one();
+  }
+
+  /// Runs `runner` as a launch of `limit` participants, or `body` inline
+  /// over [0, n) as worker 0 when the launch cannot be pooled: one
+  /// participant, a nested job, or another OS thread mid-launch (the
+  /// callers' decompositions do not depend on the executing thread count,
+  /// so the results are the same).  Rethrows the launch's first exception.
+  template <class Runner, class Body>
+  void submit(std::size_t n, unsigned limit, Runner& runner, Body& body,
+              Poison& poison) {
+    if (n == 0) return;
+    std::unique_lock<std::mutex> lock(submit_mu_, std::defer_lock);
+    if (limit <= 1 || tl_in_job_ || !lock.try_lock()) {
+      for (std::size_t i = 0; i < n; ++i) body(0u, i);
+      return;
+    }
+    ensure_workers(limit);
+    launch(limit, runner);
+    if (poison.first) std::rethrow_exception(poison.first);
   }
 
   /// Publishes `runner` to workers 1..limit-1, runs it as worker 0 on the
@@ -373,7 +343,6 @@ class WorkPool {
   Job job_;                        ///< published to participants by wake()
   alignas(64) std::atomic<std::uint32_t> pending_{0};  ///< participants left
   std::atomic<bool> stop_{false};
-  std::atomic<unsigned> active_launches_{0};
   std::atomic<unsigned> spawned_{0};  ///< threads_.size(), for workers()
   std::vector<std::thread> threads_;  ///< grown only with no job in flight
 };
@@ -393,12 +362,15 @@ inline void parallel_for_ordered(std::size_t n, unsigned workers, Body&& body) {
   WorkPool::shared().run_ordered(n, workers, std::forward<Body>(body));
 }
 
-/// Runs `body(worker, i)` for i in [0, n) on the shared WorkPool with no
-/// claim-order guarantee and at most min(workers, hardware) live threads.
-/// Only for bodies whose result is independent of claim order and executing
-/// thread (disjoint writes, no cross-index waiting); under that contract the
-/// output is bitwise identical to parallel_for_ordered at the same
-/// `workers`.  `workers <= 1` (or n == 1) degenerates to a sequential loop.
+/// Runs `body(worker, i)` for i in [0, n) on the shared WorkPool under
+/// WorkPool::run_unordered's owner map: worker w of
+/// live = min(workers, hardware, n) runs [w·n/live, (w+1)·n/live) in
+/// increasing order, the same indices on every call with the same
+/// (n, workers).  Only for bodies whose result is independent of the
+/// executing thread (disjoint writes, no cross-index waiting); under that
+/// contract the output is bitwise identical to parallel_for_ordered at the
+/// same `workers`.  `workers <= 1` (or n == 1) degenerates to a sequential
+/// loop.
 template <class Body>
 inline void parallel_for_unordered(std::size_t n, unsigned workers,
                                    Body&& body) {

@@ -1,25 +1,27 @@
-// Segmented-sum claim-order tests: a pooled apply, whose chunks are claimed
-// opportunistically, must produce the bits of the same engine applied in
-// index order — the carry combine tree is a pure function of the chunk
-// grid, not of the claim schedule — across thread counts, SIMD dispatch
-// levels, column-stream encodings, blocked formats, SpMM and the semiring
-// backend.  The in-order reference runs the engine inside a job of a
-// private WorkPool, where every nested launch runs inline in index order;
-// it needs no production code path of its own.  Also covers
+// Segmented-sum execution-order tests: a pooled apply, whose chunks run
+// concurrently on the pool's owner map, must produce the bits of the same
+// engine applied in index order — the carry combine tree is a pure
+// function of the chunk grid, not of the schedule — across thread counts,
+// SIMD dispatch levels, column-stream encodings, blocked formats, SpMM and
+// the semiring backend.  The in-order reference runs the engine inside a
+// job of a private WorkPool, where every nested launch runs inline in
+// index order; it needs no production code path of its own.  Also covers
 // WorkPool::run_unordered directly (exactly-once coverage, worker-id cap,
-// exception poisoning, nested-submit degrade — the serve-executor deadlock
-// regression) and checks the speculative path against the CSR reference
-// with a scaled tolerance.  Labeled `tsan` so the sanitizer script's TSan
-// pass exercises the real interleavings.
+// the fixed owner map, exception poisoning, nested-submit degrade — the
+// serve-executor deadlock regression) and checks the speculative path
+// against the CSR reference with a scaled tolerance.  Labeled `tsan` so the
+// sanitizer script's TSan pass exercises the real interleavings.
 #include "yaspmv/cpu/segfix.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -308,8 +310,8 @@ TEST(RunUnordered, CoversEveryIndexExactlyOnce) {
 }
 
 TEST(RunUnordered, BatchesAreContiguousPerWorker) {
-  // Workers claim contiguous index ranges; within one worker the visited
-  // indices must be a union of ascending runs (each run one batch).
+  // Each worker runs one contiguous index range of the owner map; within
+  // one worker the visited indices must ascend.
   WorkPool pool(4);
   constexpr std::size_t kN = 777;
   std::vector<std::vector<std::size_t>> seen(8);
@@ -319,11 +321,55 @@ TEST(RunUnordered, BatchesAreContiguousPerWorker) {
   std::size_t total = 0;
   for (const auto& s : seen) {
     for (std::size_t j = 1; j < s.size(); ++j) {
-      ASSERT_LT(s[j - 1], s[j]);  // batches are claimed from a monotone cursor
+      ASSERT_LT(s[j - 1], s[j]);  // a worker walks its range upwards
     }
     total += s.size();
   }
   EXPECT_EQ(total, kN);
+}
+
+TEST(RunUnordered, OwnerMapGivesEachWorkerTheSameRangeEveryLaunch) {
+  // The owner-computes contract: with live = min(requested, hardware, n),
+  // worker w runs exactly [w·n/live, (w+1)·n/live), ascending, and the
+  // next launch of the same (n, requested) gives every worker the same
+  // range again.
+  WorkPool pool(4);
+  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{5},
+                        std::size_t{8}, std::size_t{64}, std::size_t{1000}}) {
+    for (unsigned requested : {1u, 2u, 3u, 4u, 7u}) {
+      const auto live = static_cast<unsigned>(
+          std::min<std::size_t>({requested, default_workers(), n}));
+      std::vector<unsigned> first_owner;
+      for (int launch = 0; launch < 2; ++launch) {
+        std::vector<std::atomic<int>> hits(n);
+        for (auto& h : hits) h.store(0);
+        std::vector<unsigned> owner(n, ~0u);
+        std::vector<std::vector<std::size_t>> seen(8);
+        pool.run_unordered(n, requested, [&](unsigned w, std::size_t i) {
+          hits[i].fetch_add(1);
+          owner[i] = w;
+          if (w < seen.size()) seen[w].push_back(i);
+        });
+        const std::string where = "n=" + std::to_string(n) + " requested=" +
+                                  std::to_string(requested) +
+                                  " launch=" + std::to_string(launch);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(hits[i].load(), 1) << where << " index " << i;
+          ASSERT_LT(owner[i], live) << where << " index " << i;
+        }
+        for (unsigned w = 0; w < seen.size(); ++w) {
+          std::vector<std::size_t> want;
+          for (std::size_t i = w * n / live;
+               w < live && i < (w + 1) * n / live; ++i) {
+            want.push_back(i);
+          }
+          ASSERT_EQ(seen[w], want) << where << " worker " << w;
+        }
+        if (launch == 0) first_owner = owner;
+        ASSERT_EQ(owner, first_owner) << where;
+      }
+    }
+  }
 }
 
 TEST(RunUnordered, ExceptionPoisonsAndRethrows) {

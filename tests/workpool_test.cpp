@@ -1,14 +1,15 @@
-// WorkPool tests: ordered ticket dispatch on persistent workers, reuse
-// across launches, on-demand growth, nested and concurrent submission
-// degradation, exception poisoning, the spin-then-park wake-up and barrier
-// (parked workers and submitters, participant-only barriers, teardown,
-// oversubscribed launches), and the parallel tuner sweep equaling the
-// serial one.  Labeled `tsan` so the sanitizer script's TSan pass
-// exercises the pool's real interleavings.
+// WorkPool tests: ordered ticket dispatch on persistent workers (at most
+// one worker per item), reuse across launches, on-demand growth, nested
+// and concurrent submission degradation, exception poisoning, the
+// spin-then-park wake-up and barrier (parked workers and submitters,
+// participant-only barriers, teardown, oversubscribed launches), and the
+// parallel tuner sweep equaling the serial one.  Labeled `tsan` so the
+// sanitizer script's TSan pass exercises the pool's real interleavings.
 #include "yaspmv/util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
@@ -24,7 +25,7 @@ namespace yaspmv {
 namespace {
 
 /// One run_ordered launch of n items on `limit` workers: every index must
-/// run exactly once and every worker id must be below the limit.
+/// run exactly once and every worker id must be below min(limit, n).
 void expect_exact_cover(WorkPool& pool, std::size_t n, unsigned limit) {
   std::vector<std::atomic<int>> hits(n);
   for (auto& h : hits) h.store(0);
@@ -39,7 +40,7 @@ void expect_exact_cover(WorkPool& pool, std::size_t n, unsigned limit) {
     ASSERT_EQ(hits[i].load(), 1) << "workers=" << limit << " n=" << n
                                  << " index " << i;
   }
-  EXPECT_LT(max_worker.load(), limit);
+  EXPECT_LT(max_worker.load(), std::min<std::size_t>(limit, n));
 }
 
 TEST(WorkPool, CoversEveryIndexExactlyOnce) {
@@ -50,6 +51,16 @@ TEST(WorkPool, CoversEveryIndexExactlyOnce) {
       expect_exact_cover(pool, n, workers);
       if (HasFatalFailure()) return;
     }
+  }
+}
+
+TEST(WorkPool, OrderedLaunchTakesNoMoreWorkersThanItems) {
+  // Two items on a four-worker launch: n workers cover n items, so the
+  // launch must not wake (and wait for) helpers 2 and 3.
+  WorkPool pool(4);
+  for (int round = 0; round < 1000; ++round) {
+    expect_exact_cover(pool, 2, 4);
+    if (HasFailure()) return;
   }
 }
 

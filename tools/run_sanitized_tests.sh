@@ -8,7 +8,7 @@
 #            kernel_grid_test + replay_test (with its five replay_stress
 #            entries), the ones
 #            that exercise the persistent WorkPool (reuse across launches,
-#            concurrent submitters, unordered chunk claims and the
+#            concurrent submitters, the owner-map chunk pass and the
 #            speculative carry fix-up, the parallel tuner sweep and BCCOO
 #            build, multi-threaded compressed-stream decode, the pooled
 #            vector kernels and fused solver loops), the adjacent-sync spin
